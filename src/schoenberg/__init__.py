@@ -42,10 +42,10 @@ from .quadrature import (
     QuadratureResolutionWarning,
     QuadratureRule,
     default_node_count,
-    gauss_legendre,
+    gauss_jacobi,
     interval_rule,
 )
-from .real_coeffs import compute_real_coeffs, kappa, reconstruct
+from .real_coeffs import compute_real_coeffs, harmonic_dimension, reconstruct
 from .selftest import run_selftest
 from .sequences import (
     ComplexSchoenbergSequence,
@@ -107,11 +107,12 @@ __all__ = [
     "disk_poly_eval",
     "disk_quadrature",
     "disk_rule_sized",
-    "gauss_legendre",
+    "gauss_jacobi",
     "gegenbauer_at_one",
     "gegenbauer_eval",
     "gegenbauer_mixture",
     "h_norm",
+    "harmonic_dimension",
     "interval_rule",
     "inverse_walk_weight",
     "inverse_walk_weight_complex",
@@ -120,7 +121,6 @@ __all__ = [
     "isotropic_from_sequence",
     "jacobi_at_one",
     "jacobi_eval",
-    "kappa",
     "load_sequence",
     "loads_sequence",
     "make_disk",

@@ -46,8 +46,6 @@ def compute_complex_coeffs(
     fn = getattr(phi, "eval", phi)
     if rule is None:
         rule = disk_rule_sized(q, max_degree)
-    if rule.kind != "disk-product":
-        raise ValueError("disk coefficients need a disk-product rule")
     z = rule.complex_nodes
     weighted = rule.weights * np.asarray(fn(z), dtype=complex)
     entries = {}

@@ -27,7 +27,7 @@ from math import comb, pi
 
 import numpy as np
 
-from .quadrature import QuadratureRule, gauss_legendre
+from .quadrature import QuadratureRule, gauss_jacobi
 
 __all__ = [
     "jacobi_eval",
@@ -83,8 +83,9 @@ def disk_poly_eval(m: int, n: int, alpha: int, z):
     scalar = np.ndim(z) == 0
     z = np.asarray(z, dtype=complex)
     radius_sq = (z * z.conjugate()).real
-    if np.any(radius_sq > 1.0 + 2.0 * DISK_BOUNDARY_TOL):
-        raise ValueError("z must lie in the closed unit disk")
+    outside = ~(radius_sq <= 1.0 + 2.0 * DISK_BOUNDARY_TOL)
+    if np.any(outside):
+        raise ValueError(f"z must lie in the closed unit disk, got {z[outside].flat[0]}")
     radius_sq = np.minimum(radius_sq, 1.0)
     k, s = min(m, n), abs(m - n)
     radial = jacobi_eval(k, alpha, s, 2.0 * radius_sq - 1.0) / jacobi_at_one(k, alpha)
@@ -109,8 +110,8 @@ def h_norm(m: int, n: int, q: int) -> float:
 def disk_quadrature(q: int, radial_nodes: int, angular_nodes: int) -> QuadratureRule:
     """Product quadrature for the disk probability measure at parameter q - 2.
 
-    Gauss-Legendre in s = r^2 on [0, 1] with the radial density
-    (q - 1) (1 - s)^(q-2) folded into the weights, crossed with a uniform
+    Gauss-Jacobi with parameters (q - 2, 0) for the radial density
+    (q - 1) (1 - s)^(q-2) in s = r^2 on [0, 1], crossed with a uniform
     angular grid (exact for trigonometric polynomials of degree below the
     grid size). Total weight is 1 up to roundoff.
     """
@@ -118,14 +119,13 @@ def disk_quadrature(q: int, radial_nodes: int, angular_nodes: int) -> Quadrature
         raise ValueError("q must be >= 2")
     if radial_nodes < 1 or angular_nodes < 1:
         raise ValueError("node counts must be positive")
-    s, ws = gauss_legendre(radial_nodes, 0.0, 1.0)
-    radial_weight = ws * (q - 1.0) * (1.0 - s) ** (q - 2)
+    t, radial_weight = gauss_jacobi(radial_nodes, q - 2, 0)
+    r = np.sqrt(0.5 * (1.0 + t))  # s = r^2 = (1 + t) / 2
     phi = 2.0 * pi * np.arange(angular_nodes) / angular_nodes
-    r = np.sqrt(s)
     x = np.outer(r, np.cos(phi)).ravel()
     y = np.outer(r, np.sin(phi)).ravel()
     weights = np.repeat(radial_weight / angular_nodes, angular_nodes)
-    return QuadratureRule("disk-product", np.column_stack([x, y]), weights, "xy")
+    return QuadratureRule(np.column_stack([x, y]), weights)
 
 
 def disk_rule_sized(q: int, max_degree: int) -> QuadratureRule:

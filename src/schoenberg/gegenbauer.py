@@ -2,8 +2,8 @@
 
 The sphere dimension ``d`` enters through the order ``(d - 1) / 2``; the
 ``d = 1`` circle case degenerates to the Chebyshev basis ``cos(n * theta)``
-and is routed separately everywhere, never through a zero-order Gegenbauer
-recurrence.
+and is routed separately in the evaluators, never through a zero-order
+Gegenbauer recurrence.
 
 All evaluators run the three-term recurrence forward, which is stable on
 ``[-1, 1]`` for positive orders.
@@ -16,7 +16,6 @@ __all__ = [
     "BOUNDARY_TOL",
     "gegenbauer_eval",
     "gegenbauer_at_one",
-    "gegenbauer_table",
     "normalized_gegenbauer",
     "normalized_gegenbauer_table",
     "order_for_dimension",
@@ -30,8 +29,9 @@ BOUNDARY_TOL = 1e-12
 def _as_unit_interval(u):
     """Coerce to float array in [-1, 1], clamping boundary roundoff."""
     u = np.asarray(u, dtype=float)
-    if np.any(np.abs(u) > 1.0 + BOUNDARY_TOL):
-        raise ValueError("argument must lie in [-1, 1]")
+    outside = ~(np.abs(u) <= 1.0 + BOUNDARY_TOL)
+    if np.any(outside):
+        raise ValueError(f"argument u must lie in [-1, 1], got {u[outside].flat[0]}")
     return np.clip(u, -1.0, 1.0)
 
 
@@ -84,22 +84,6 @@ def gegenbauer_at_one(n: int, order: float) -> float:
     for i in range(1, n + 1):
         value *= (2.0 * order + i - 1.0) / i
     return value
-
-
-def gegenbauer_table(n_max: int, order: float, u: np.ndarray) -> np.ndarray:
-    """Table of raw Gegenbauer values, shape ``(n_max + 1, len(u))``."""
-    _check_degree_order(n_max, order)
-    u = np.atleast_1d(_as_unit_interval(u))
-    out = np.empty((n_max + 1, u.size))
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 2.0 * order * u
-    for k in range(2, n_max + 1):
-        out[k] = (
-            2.0 * u * (k + order - 1.0) * out[k - 1]
-            - (k + 2.0 * order - 2.0) * out[k - 2]
-        ) / k
-    return out
 
 
 def normalized_gegenbauer(n: int, d: int, u):

@@ -84,7 +84,7 @@ def _check_normalized_bound(rng):
     return worst <= 1.0 + 1e-12, f"max |value| {worst:.15f}"
 
 
-def _check_kappa_orthonormality(rng):
+def _check_coefficient_map_one_hot(rng):
     # the coefficient map must send each basis polynomial to a one-hot vector
     worst = 0.0
     for d in range(2, 7):
@@ -247,7 +247,7 @@ _CHECKS = [
     ("gegenbauer-recurrence-residual", _check_gegenbauer_recurrence),
     ("gegenbauer-legendre-agreement", _check_legendre_agreement),
     ("normalized-basis-bounded", _check_normalized_bound),
-    ("coefficient-map-one-hot", _check_kappa_orthonormality),
+    ("coefficient-map-one-hot", _check_coefficient_map_one_hot),
     ("poisson-circle-closed-form", _check_poisson_circle),
     ("real-walk-roundtrip", _check_real_roundtrip),
     ("inverse-series-to-circle", _check_inverse_series_to_circle),

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import QuadratureRule, default_node_count, interval_rule
-from .real_coeffs import _project_values
+from .quadrature import QuadratureRule
+from .real_coeffs import _project_values, _rule_for
 from .gegenbauer import normalized_gegenbauer_table
 from .sequences import RealSchoenbergSequence
 
@@ -139,14 +139,13 @@ def cross_project(
     the dimension-d' coefficient integrals, and the resulting coefficient
     vectors are combined with the input weights. Reconstructing the
     function and recomputing its coefficients at d' is the independent
-    route and the two must agree to quadrature accuracy.
+    route and the two must agree to quadrature accuracy. A given ``rule``
+    must come from ``interval_rule(d_prime, K)``.
     """
     if not 1 <= d_prime < seq.d:
         raise ValueError("cross_project requires 1 <= d_prime < seq.d")
     truncation = seq.truncation
-    if rule is None:
-        rule = interval_rule(d_prime, default_node_count(truncation))
-    x = rule.nodes if rule.variable == "u" else np.cos(rule.nodes)
-    basis_rows = normalized_gegenbauer_table(truncation, seq.d, x)
+    rule = _rule_for(d_prime, truncation, rule)
+    basis_rows = normalized_gegenbauer_table(truncation, seq.d, rule.nodes)
     per_basis = _project_values(basis_rows, d_prime, truncation, rule)
     return RealSchoenbergSequence(d_prime, seq.coeffs @ per_basis)

@@ -37,9 +37,10 @@ def test_identity_function_expands_to_one_zero():
 
 
 def test_squared_modulus_closed_form():
-    # |z|^2 = (1/q) * 1 + ((q-1)/q) * R_{1,1}, so exactly two entries
-    for q in (2, 3, 4):
-        seq = compute_complex_coeffs(disk_monomial(1, 1), q, 4)
+    # |z|^2 = (1/q) * 1 + ((q-1)/q) * R_{1,1}, so exactly two entries; at
+    # q = 100 the radial weight (1 - s)^98 must not underflow the rule
+    for q in (2, 3, 4, 100):
+        seq = compute_complex_coeffs(disk_monomial(1, 1), q, 6)
         assert seq.get(0, 0) == pytest.approx(1.0 / q, abs=1e-12)
         assert seq.get(1, 1) == pytest.approx((q - 1.0) / q, abs=1e-12)
         rest = {k: v for k, v in seq.entries.items() if k not in ((0, 0), (1, 1))}
@@ -66,6 +67,12 @@ def test_reconstruct_trivials():
     assert np.allclose(reconstruct_complex(origin, z), 1.0)
     linear = ComplexSchoenbergSequence(2, {(1, 0): 1.0}, 2)
     assert np.allclose(reconstruct_complex(linear, z), z)
+
+
+def test_reconstruct_rejects_nan_point():
+    seq = random_complex_sequence(3, 4, seed=5)
+    with pytest.raises(ValueError, match="z.*nan"):
+        reconstruct_complex(seq, complex("nan"))
 
 
 def test_reconstruct_at_one_is_total_mass():

@@ -130,3 +130,8 @@ def test_domain_rejection():
         disk_poly_eval(-1, 0, 0, 0.0j)
     # boundary roundoff is clamped
     assert disk_poly_eval(2, 1, 1, 1.0 + 5e-13 + 0.0j) == pytest.approx(1.0)
+
+
+def test_nan_point_is_rejected():
+    with pytest.raises(ValueError, match="z.*nan"):
+        disk_poly_eval(1, 1, 1, float("nan"))

@@ -118,6 +118,11 @@ def test_domain_errors():
         order_for_dimension(1)
 
 
+def test_nan_argument_is_rejected():
+    with pytest.raises(ValueError, match="u.*nan"):
+        normalized_gegenbauer(3, 4, float("nan"))
+
+
 def test_reentrant_under_threads():
     # evaluators are pure; concurrent calls must agree with serial ones
     from concurrent.futures import ThreadPoolExecutor

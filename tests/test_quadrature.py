@@ -1,30 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
-from schoenberg import QuadratureRule, disk_quadrature, gauss_legendre, interval_rule
+from schoenberg import QuadratureRule, disk_quadrature, gauss_jacobi, interval_rule
 
 
-def test_gauss_legendre_integrates_polynomials_exactly():
-    x, w = gauss_legendre(6)
-    # degree 11 is the highest exact degree for 6 nodes
-    for degree in range(12):
-        exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
-        assert np.sum(w * x**degree) == pytest.approx(exact, abs=1e-14)
+def beta_moment(k, alpha, beta):
+    # E[t^k] for t = (1 + x) / 2 ~ Beta(beta + 1, alpha + 1): a product of
+    # positive ratios, free of the cancellation in the moments of x itself
+    return math.prod((beta + 1.0 + i) / (alpha + beta + 2.0 + i) for i in range(k))
 
 
-def test_interval_rule_even_dimension_uses_cos_substitution():
-    rule = interval_rule(4, 32)
-    assert rule.variable == "u"
-    assert rule.total_weight == pytest.approx(2.0, abs=1e-12)
-    assert np.all(np.abs(rule.nodes) < 1.0)
+def test_gauss_jacobi_integrates_polynomials_exactly():
+    for alpha, beta in ((-0.5, -0.5), (0.0, 0.0), (1.5, 1.5), (98.0, 0.0)):
+        for n_nodes in (1, 2, 6, 20):
+            x, w = gauss_jacobi(n_nodes, alpha, beta)
+            assert np.all(w > 0.0)
+            assert w.sum() == pytest.approx(1.0, abs=1e-13)
+            t = 0.5 * (1.0 + x)
+            # degree 2K - 1 is the highest exact degree for K nodes
+            for k in range(2 * n_nodes):
+                exact = beta_moment(k, alpha, beta)
+                assert np.sum(w * t**k) == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
-def test_interval_rule_odd_dimension_stays_in_theta():
-    for d in (1, 3, 5):
+def test_interval_rule_has_unit_mass_in_u():
+    for d in range(1, 8):
         rule = interval_rule(d, 32)
-        assert rule.variable == "theta"
-        assert rule.total_weight == pytest.approx(np.pi, abs=1e-12)
-        assert np.all((rule.nodes > 0.0) & (rule.nodes < np.pi))
+        assert rule.total_weight == pytest.approx(1.0, abs=1e-13)
+        assert np.all(np.abs(rule.nodes) < 1.0)
 
 
 def test_disk_rule_has_unit_mass():
@@ -36,9 +41,11 @@ def test_disk_rule_has_unit_mass():
 
 def test_rule_validation():
     with pytest.raises(ValueError):
-        QuadratureRule("interval-legendre", np.array([0.0]), np.array([-1.0]), "u")
+        QuadratureRule(np.array([0.0]), np.array([-1.0]))
     with pytest.raises(ValueError):
-        QuadratureRule("mystery", np.array([0.0]), np.array([1.0]), "u")
+        QuadratureRule(np.array([0.0, 0.5]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        gauss_jacobi(4, -1.0, 0.0)
     with pytest.raises(ValueError):
         interval_rule(0, 8)
     with pytest.raises(ValueError):

@@ -7,9 +7,9 @@ from schoenberg import (
     compute_real_coeffs,
     constant_isotropic,
     cosine_isotropic,
+    harmonic_dimension,
     interval_rule,
     isotropic_from_sequence,
-    kappa,
     poisson_circle_coeffs,
     poisson_isotropic,
     random_real_sequence,
@@ -17,21 +17,24 @@ from schoenberg import (
 )
 
 
-def test_kappa_ratio_identity():
-    for d in range(2, 10):
-        for n in range(0, 30, 3):
-            ratio = kappa(n + 1, d) / kappa(n, d)
-            assert ratio == pytest.approx((2 * n + d + 1) / (2 * n + d - 1), rel=1e-13)
+def test_harmonic_dimension_closed_forms():
+    for n in range(40):
+        assert harmonic_dimension(n, 1) == pytest.approx(1 if n == 0 else 2, rel=1e-13)
+        assert harmonic_dimension(n, 2) == pytest.approx(2 * n + 1, rel=1e-13)
+        assert harmonic_dimension(n, 3) == pytest.approx((n + 1) ** 2, rel=1e-13)
+    assert np.isfinite(harmonic_dimension(30, 1001))
 
 
-def test_kappa_rejects_low_dimension():
+def test_harmonic_dimension_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        kappa(0, 1)
+        harmonic_dimension(0, 0)
+    with pytest.raises(ValueError):
+        harmonic_dimension(-1, 2)
 
 
 def test_kappa_orthonormality_oracle():
-    # kappa is correct iff the coefficient map sends the degree-n basis
-    # polynomial to the one-hot vector e_n
+    # the normalization N(d, n) is correct iff the coefficient map sends the
+    # degree-n basis polynomial to the one-hot vector e_n
     for d in range(2, 7):
         for n in (0, 1, 2, 5, 9):
             one_hot = np.zeros(n + 1)
@@ -88,6 +91,14 @@ def test_reconstruct_rejects_angles_outside_range():
         reconstruct(seq, 3.5)
 
 
+def test_reconstruct_rejects_nan_angle():
+    seq = random_real_sequence(2, 3, seed=0)
+    with pytest.raises(ValueError, match="theta.*nan"):
+        reconstruct(seq, float("nan"))
+    with pytest.raises(ValueError, match="theta.*nan"):
+        reconstruct(seq, np.array([0.5, np.nan]))
+
+
 def test_quadrature_oracle_roundtrip_all_dimensions():
     # computing the coefficients of a reconstructed finite expansion must
     # give the expansion back to near machine precision
@@ -99,12 +110,13 @@ def test_quadrature_oracle_roundtrip_all_dimensions():
 
 
 def test_even_dimension_rule_is_exact_at_minimal_size():
-    # the cos-theta substitution gives polynomial integrands, so a small
-    # rule already integrates them exactly
-    seq = random_real_sequence(4, 12, seed=1)
-    rule = interval_rule(4, 12 + 8)
-    got = compute_real_coeffs(isotropic_from_sequence(seq), 4, 12, rule)
-    assert np.max(np.abs(got.coeffs - seq.coeffs)) <= 1e-13
+    # the Gauss-Jacobi rule in u = cos(theta) carries the surface weight, so
+    # the integrands are polynomials and a small rule is exact in every d
+    for d in range(1, 8):
+        seq = random_real_sequence(d, 12, seed=1)
+        rule = interval_rule(d, 12 + 8)
+        got = compute_real_coeffs(isotropic_from_sequence(seq), d, 12, rule)
+        assert np.max(np.abs(got.coeffs - seq.coeffs)) <= 1e-13
 
 
 def test_poisson_roundtrip_uniform_error():
@@ -116,10 +128,23 @@ def test_poisson_roundtrip_uniform_error():
     assert np.max(np.abs(values - target)) <= 1e-9
 
 
+def test_poisson_sphere_mass_and_tail_at_large_truncation():
+    # degrees above ~460 carry less than 1e-100 at r = 1/2; rule error must
+    # neither leak into them nor shift the total mass psi(0) = 1
+    seq = compute_real_coeffs(poisson_isotropic(0.5), 2, 512)
+    assert abs(1.0 - seq.coeffs.sum()) <= 1e-10
+    assert np.max(np.abs(seq.coeffs[463:])) <= 1e-12
+
+
 def test_poisson_mass_approaches_one():
     seq = compute_real_coeffs(poisson_isotropic(0.5), 1, 40)
     assert seq.total_mass >= 1.0 - 2.0 * 0.5**40
     assert seq.valid_mass
+
+
+def test_rule_for_another_dimension_is_rejected():
+    with pytest.raises(ValueError, match="interval_rule"):
+        compute_real_coeffs(constant_isotropic(), 3, 4, interval_rule(2, 16))
 
 
 def test_under_resolved_rule_is_reported():
