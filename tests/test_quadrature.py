@@ -32,6 +32,29 @@ def test_interval_rule_has_unit_mass_in_u():
         assert np.all(np.abs(rule.nodes) < 1.0)
 
 
+def test_interval_rule_even_dimension_uses_cos_substitution():
+    rule = interval_rule(4, 32)
+    assert rule.total_weight == pytest.approx(1.0, abs=1e-13)
+    assert np.all(np.abs(rule.nodes) < 1.0)
+    # nodes are u = cos(theta) under the S^4 measure: symmetric about 0,
+    # with E[u^2] = 1 / (d + 1) on S^d
+    assert np.allclose(np.sort(rule.nodes), -np.sort(rule.nodes)[::-1], atol=1e-14)
+    assert np.sum(rule.weights * rule.nodes**2) == pytest.approx(1.0 / 5.0, abs=1e-14)
+
+
+def test_interval_rule_odd_dimension_stays_in_theta():
+    # odd d shares the u-rule; mapped back to theta it covers (0, pi) and
+    # integrates trigonometric polynomials in theta exactly
+    for d in (1, 3, 5):
+        rule = interval_rule(d, 32)
+        theta = np.arccos(rule.nodes)
+        assert rule.total_weight == pytest.approx(1.0, abs=1e-13)
+        assert np.all((theta > 0.0) & (theta < np.pi))
+        # E[cos(2 theta)] = 2 E[u^2] - 1 = (1 - d) / (d + 1) on S^d
+        mean = np.sum(rule.weights * np.cos(2.0 * theta))
+        assert mean == pytest.approx((1.0 - d) / (d + 1.0), abs=1e-13)
+
+
 def test_disk_rule_has_unit_mass():
     for q in range(2, 7):
         rule = disk_quadrature(q, 24, 32)
