@@ -65,14 +65,12 @@ from .spd import (
     transfer_class,
 )
 from .walk_complex import (
-    inverse_walk_weight_complex,
     inverse_walk_weights_complex,
     walk_down_complex,
     walk_up_complex,
 )
 from .walk_real import (
     cross_project,
-    inverse_walk_weight,
     inverse_walk_weights,
     walk_down,
     walk_up,
@@ -114,8 +112,6 @@ __all__ = [
     "h_norm",
     "harmonic_dimension",
     "interval_rule",
-    "inverse_walk_weight",
-    "inverse_walk_weight_complex",
     "inverse_walk_weights",
     "inverse_walk_weights_complex",
     "isotropic_from_sequence",

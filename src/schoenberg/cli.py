@@ -141,7 +141,8 @@ def _walk_command(args, transform) -> int:
         _note(
             "note: input support reaches the truncation boundary "
             f"(largest boundary entry {result.tail_bound:.3e}); the inverse "
-            "series is missing tail terms if the sequence continues beyond it"
+            "walk takes entries beyond it as 0, which drops terms if the "
+            "sequence continues"
         )
     _write_json(result.to_dict(), args.out)
     return EXIT_OK

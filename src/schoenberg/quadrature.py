@@ -101,14 +101,22 @@ def gauss_jacobi(n_nodes: int, alpha: float, beta: float):
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
     total, dtotal = np.zeros_like(x), np.zeros_like(x)
-    for k in range(n_nodes):
-        total += p * p
-        dtotal += p * dp
-        shifted, b_prev = x - diag[k], off[k - 1] if k else 0.0
-        p_next = (shifted * p - b_prev * p_prev) / off[k]
-        dp_next = (p + shifted * dp - b_prev * dp_prev) / off[k]
-        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
-    step = p / dp
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_nodes):
+            total += p * p
+            dtotal += p * dp
+            shifted, b_prev = x - diag[k], off[k - 1] if k else 0.0
+            p_next = (shifted * p - b_prev * p_prev) / off[k]
+            dp_next = (p + shifted * dp - b_prev * dp_prev) / off[k]
+            p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        step = p / dp
+    # a weight is 1 / total, so an overflowing sum means a weight below the
+    # normal double range (large alpha or beta puts nodes deep in the tails)
+    if not all(np.isfinite(v).all() for v in (total, dtotal, step)):
+        raise ValueError(
+            f"gauss_jacobi(n_nodes={n_nodes}, alpha={alpha}, beta={beta}): the "
+            "Christoffel sums overflow double precision"
+        )
     return x - step, 1.0 / (total - 2.0 * step * dtotal)
 
 

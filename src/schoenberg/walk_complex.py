@@ -3,43 +3,46 @@
 Both walks move mass only along the diagonals m - n = const. The forward
 walk (q to q + 1) is the two-term recursion
 
-    a'_{m,n} = (m+q-1)(n+q-1) / ((q-1)(m+n+q-1)) * a_{m,n}
-             - (m+1)(n+1)   / ((q-1)(m+n+q+1)) * a_{m+1,n+1},
+    a'_{m,n} = lead_{m,n} * a_{m,n} - drop_{m,n} * a_{m+1,n+1},
+    lead_{m,n} = (m+q-1)(n+q-1) / ((q-1)(m+n+q-1)),
+    drop_{m,n} = (m+1)(n+1) / ((q-1)(m+n+q+1)),
 
-and the inverse walk (q + 1 back to q) is the series along each diagonal
+and the inverse walk (q + 1 back to q) solves this upper-triangular
+two-band system along each diagonal by back-substitution from the top,
+a_{m,n} = (a'_{m,n} + drop_{m,n} a_{m+1,n+1}) / lead_{m,n}. The solve is
+stable because drop / lead = V(j+1, m, n, q) / V(j, m+1, n+1, q) lies in
+(0, 1), so an error in an upper entry shrinks on its way down. The solve's
+closed form is the series
 
     a_{m,n} = sum_j V(j, m, n, q) * a'_{m+j,n+j},
-
-with weights given by the closed product form
 
     V(j, m, n, q) = (q-1)(m+n+q-1) * (m+1)^(j) (n+1)^(j)
                     / ((m+q-1)^(j+1) (n+q-1)^(j+1)),
 
-where x^(j) is the rising factorial. Every factor in the j -> j + 1 ratio
-lies in (0, 1), so the weights are computed by a ratio recurrence that is
-immune to overflow. The weights are strictly positive, which is what makes
-the support of a nonnegative sequence transfer faithfully down the walk:
-a_{m,n} > 0 exactly when a'_{m+j,n+j} > 0 for some j >= 0.
+where x^(j) is the rising factorial; :func:`inverse_walk_weights_complex`
+keeps it as the paper's reference formula. The weights are strictly
+positive, which is what makes the support of a nonnegative sequence
+transfer faithfully down the walk: a_{m,n} > 0 exactly when
+a'_{m+j,n+j} > 0 for some j >= 0.
 """
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
 from .sequences import ComplexSchoenbergSequence
 
 __all__ = [
-    "inverse_walk_weight_complex",
     "inverse_walk_weights_complex",
     "walk_up_complex",
     "walk_down_complex",
 ]
 
 
-def inverse_walk_weight_complex(j: int, m: int, n: int, q: int) -> float:
-    """Single inverse-walk weight V(j, m, n, q) for target parameter q >= 2."""
-    return inverse_walk_weights_complex(m, n, q, j)[j]
+def _bands(m, n, q: int):
+    """``lead`` and ``drop`` of the walk q -> q + 1 at bi-degree (m, n)."""
+    lead = (m + q - 1.0) * (n + q - 1.0) / ((q - 1.0) * (m + n + q - 1.0))
+    drop = (m + 1.0) * (n + 1.0) / ((q - 1.0) * (m + n + q + 1.0))
+    return lead, drop
 
 
 def inverse_walk_weights_complex(m: int, n: int, q: int, j_max: int) -> np.ndarray:
@@ -77,8 +80,7 @@ def walk_up_complex(seq: ComplexSchoenbergSequence) -> ComplexSchoenbergSequence
             candidates.add((m - 1, n - 1))
     out = {}
     for (m, n) in candidates:
-        lead = (m + q - 1.0) * (n + q - 1.0) / ((q - 1.0) * (m + n + q - 1.0))
-        drop = (m + 1.0) * (n + 1.0) / ((q - 1.0) * (m + n + q + 1.0))
+        lead, drop = _bands(m, n, q)
         out[(m, n)] = lead * seq.get(m, n) - drop * seq.get(m + 1, n + 1)
     return ComplexSchoenbergSequence(q + 1, out, out_degree)
 
@@ -89,37 +91,35 @@ def walk_down_complex(
 ) -> ComplexSchoenbergSequence:
     """Transport a sequence from sphere parameter q + 1 back to q.
 
-    Sums the inverse series along each support diagonal; for finitely
-    supported input the sums are complete and the walk exactly inverts
-    :func:`walk_up_complex`. Entries above ``tail_tol`` sitting on the
-    truncation boundary (m + n within 2 of max_degree) are reported on the
-    output's ``tail_bound`` diagnostic: they mean dropped tail terms if the
-    sequence continues beyond the truncation, and a false alarm if its
-    support genuinely ends there; the data cannot distinguish the two.
+    Solves the forward walk's two-band system along each support diagonal,
+    from the diagonal's top entry down to its axis, with the entries above
+    the top taken as 0; for finitely supported input the walk exactly
+    inverts :func:`walk_up_complex`. Entries above ``tail_tol`` sitting on
+    the truncation boundary (m + n within 2 of max_degree) are reported on
+    the output's ``tail_bound`` diagnostic: they mean a missing continuation
+    if the sequence continues beyond the truncation, and a false alarm if
+    its support genuinely ends there; the data cannot distinguish the two.
     """
     if seq.q < 3:
         raise ValueError("walk_down_complex needs input parameter q >= 3")
+    if not tail_tol >= 0.0:
+        raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
     q_out = seq.q - 1
-    by_diagonal = defaultdict(dict)
-    for (m, n), a in seq.entries.items():
-        by_diagonal[m - n][min(m, n)] = a
-    out = defaultdict(float)
-    for diag, along in by_diagonal.items():
-        t_top = max(along)
-        m_off, n_off = (diag, 0) if diag >= 0 else (0, -diag)
-        for t_out in range(t_top + 1):
-            m, n = t_out + m_off, t_out + n_off
-            weights = inverse_walk_weights_complex(m, n, q_out, t_top - t_out)
-            total = 0.0
-            for t_in, a in along.items():
-                if t_in >= t_out:
-                    total += weights[t_in - t_out] * a
-            out[(m, n)] += total
+    tops = {}
+    for (m, n) in seq.entries:
+        tops[m - n] = max(tops.get(m - n, 0), min(m, n))
+    out = {}
+    for diag, t_top in tops.items():
+        m_off, n_off = max(diag, 0), max(-diag, 0)
+        upper = 0.0
+        for t in range(t_top, -1, -1):
+            m, n = t + m_off, t + n_off
+            lead, drop = _bands(m, n, q_out)
+            upper = (seq.get(m, n) + drop * upper) / lead
+            out[(m, n)] = upper
     boundary = [
         abs(a) for (m, n), a in seq.entries.items() if m + n >= seq.max_degree - 1
     ]
     worst = max(boundary, default=0.0)
     tail = worst if worst > tail_tol else 0.0
-    return ComplexSchoenbergSequence(
-        q_out, dict(out), seq.max_degree, tail_bound=tail
-    )
+    return ComplexSchoenbergSequence(q_out, out, seq.max_degree, tail_bound=tail)

@@ -1,20 +1,25 @@
 """Dimension walks for real-sphere coefficient sequences.
 
 The forward walk sends the sequence at dimension d to the one at d + 2
-through the classical two-term recursion; the inverse walk comes back down
-through the series
+through the two-term recursion
+
+    b'_n = lead_n * b_n - drop_n * b_{n+2},
+    lead_n = (n+d-1)(n+d) / (d (2n+d-1)),   drop_n = (n+1)(n+2) / (d (2n+d+3)),
+
+with lead_0 = 1 for every d (at d = 1 the formula reads 0/0 there). The
+inverse walk solves this upper-triangular two-band system by
+back-substitution from the top, b_n = (b'_n + drop_n b_{n+2}) / lead_n.
+The solve is stable: drop_n / lead_n is at most 1 (it reaches 1 only at
+d = 1; for d >= 2 it is the weight ratio w(j+1, n, d) / w(j, n+2, d) of the
+series below), so an error in an upper entry is never amplified on its way
+down. The solve's closed form is the series
 
     b_{n,d} = sum_j w(j, n, d) * b_{n+2j, d+2},
-
-whose weights telescope against the forward recursion. A single product
-formula covers every j:
 
     w(j, n, d) = d (2n + d - 1) * prod_{l<j} (n+2l+1)(n+2l+2)
                  / prod_{l<=j} (n+2l+d-1)(n+2l+d),
 
-computed incrementally as a ratio recurrence (each factor is a ratio in
-(0, 1), so the products can never overflow and no log-space fallback is
-needed). The pair d = 1 <-> 3 has its own closed forms on both sides.
+kept in :func:`inverse_walk_weights` as the paper's reference formula.
 
 The general projection d -> d' (any d' < d) evaluates the coefficient
 integrals of the dimension-d basis functions at dimension d' and combines
@@ -31,7 +36,6 @@ from .gegenbauer import normalized_gegenbauer_table
 from .sequences import RealSchoenbergSequence
 
 __all__ = [
-    "inverse_walk_weight",
     "inverse_walk_weights",
     "walk_up",
     "walk_down",
@@ -39,9 +43,13 @@ __all__ = [
 ]
 
 
-def inverse_walk_weight(j: int, n: int, d: int) -> float:
-    """Single inverse-walk weight w(j, n, d) for target dimension d >= 2."""
-    return inverse_walk_weights(n, d, j)[j]
+def _bands(d: int, size: int):
+    """``lead_n`` and ``drop_n`` of the walk d -> d + 2 for n < size."""
+    n = np.arange(size, dtype=float)
+    lead = np.ones(size)
+    lead[1:] = (n[1:] + d - 1.0) * (n[1:] + d) / (d * (2.0 * n[1:] + d - 1.0))
+    drop = (n + 1.0) * (n + 2.0) / (d * (2.0 * n + d + 3.0))
+    return lead, drop
 
 
 def inverse_walk_weights(n: int, d: int, j_max: int) -> np.ndarray:
@@ -68,22 +76,11 @@ def walk_up(seq: RealSchoenbergSequence) -> RealSchoenbergSequence:
     input, since membership in the positive definiteness class is strictly
     harder in higher dimensions; the validity flag records this.
     """
-    n_in = seq.truncation
-    if n_in < 2:
+    if seq.truncation < 2:
         raise ValueError("walk_up needs truncation >= 2")
     b = seq.coeffs
-    d = seq.d
-    if d == 1:
-        n = np.arange(1, n_in - 1)
-        out = np.empty(n_in - 1)
-        out[0] = b[0] - 0.5 * b[2]
-        out[1:] = 0.5 * (n + 1) * (b[1:-2] - b[3:])
-    else:
-        n = np.arange(n_in - 1, dtype=float)
-        lead = (n + d - 1.0) * (n + d) / (d * (2.0 * n + d - 1.0))
-        drop = (n + 1.0) * (n + 2.0) / (d * (2.0 * n + d + 3.0))
-        out = lead * b[: n_in - 1] - drop * b[2:]
-    return RealSchoenbergSequence(d + 2, out)
+    lead, drop = _bands(seq.d, len(b) - 2)
+    return RealSchoenbergSequence(seq.d + 2, lead * b[:-2] - drop * b[2:])
 
 
 def walk_down(
@@ -93,39 +90,32 @@ def walk_down(
 ) -> RealSchoenbergSequence:
     """Transport a sequence from dimension d + 2 back to dimension d.
 
-    The series for each output degree is summed over the input's support,
-    which is complete for finitely supported inputs (the telescoping
-    identity then makes this the exact inverse of :func:`walk_up`). Trailing
-    entries above ``tail_tol`` are reported on the output's ``tail_bound``
-    diagnostic: if the input was a truncation of an infinite sequence, terms
-    of that order were dropped from the series. For a sequence whose support
+    Solves the forward walk's two-band system from the top, with every
+    entry above the input truncation taken as 0. For finitely supported
+    input this is the exact inverse of :func:`walk_up`. Trailing entries
+    above ``tail_tol`` are reported on the output's ``tail_bound``
+    diagnostic: if the input was a truncation of an infinite sequence, the
+    solve is missing their continuation. For a sequence whose support
     genuinely ends at the boundary the result is still exact and the
     diagnostic is a false alarm; the data cannot distinguish the two cases.
     """
     if seq.d < 3:
         raise ValueError("walk_down needs input dimension >= 3")
-    d_out = seq.d - 2
     n_in = seq.truncation
     if n_out is None:
         n_out = n_in
+    if n_out < 0:
+        raise ValueError(f"n_out must be nonnegative, got {n_out}")
+    if not tail_tol >= 0.0:
+        raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
     b = seq.coeffs
-    out = np.zeros(n_out + 1)
-    if d_out == 1:
-        for n in range(min(n_out, n_in) + 1):
-            terms = b[n::2]
-            degrees = n + 2.0 * np.arange(len(terms))
-            if n == 0:
-                out[0] = float(np.sum(terms / (degrees + 1.0)))
-            else:
-                out[n] = float(np.sum(2.0 * terms / (degrees + 1.0)))
-    else:
-        for n in range(min(n_out, n_in) + 1):
-            terms = b[n::2]
-            w = inverse_walk_weights(n, d_out, len(terms) - 1)
-            out[n] = float(w @ terms)
+    lead, drop = _bands(seq.d - 2, n_in + 1)
+    out = np.zeros(max(n_in, n_out) + 3)
+    for n in range(n_in, -1, -1):
+        out[n] = (b[n] + drop[n] * out[n + 2]) / lead[n]
     boundary = float(np.max(np.abs(b[-2:])))
     tail = boundary if boundary > tail_tol else 0.0
-    return RealSchoenbergSequence(d_out, out, tail_bound=tail)
+    return RealSchoenbergSequence(seq.d - 2, out[: n_out + 1], tail_bound=tail)
 
 
 def cross_project(

@@ -145,6 +145,14 @@ def test_malformed_json_exits_1_and_names_field(capsys, tmp_path):
     assert "coeffs" in err
 
 
+def test_walk_down_negative_n_out_exits_1(capsys, tmp_path):
+    src = tmp_path / "seq.json"
+    random_real_sequence(4, 8, seed=1).save(src)
+    code, _, err = run(capsys, "walk-down", "--in", str(src), "--N-out", "-1")
+    assert code == 1
+    assert "n_out" in err
+
+
 def test_validity_contradiction_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,16 @@ def test_squared_modulus_closed_form():
         assert seq.get(1, 1) == pytest.approx((q - 1.0) / q, abs=1e-12)
         rest = {k: v for k, v in seq.entries.items() if k not in ((0, 0), (1, 1))}
         assert all(abs(v) <= 1e-12 for v in rest.values())
+
+
+def test_radial_rule_overflow_is_named():
+    # at q = 330 the Gauss-Jacobi weights for (1 - s)^328 leave the double
+    # range; the error must say so, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow") as info:
+            compute_complex_coeffs(disk_monomial(1, 1), 330, 6)
+    assert "alpha=328" in str(info.value) and "n_nodes" in str(info.value)
 
 
 def test_squared_modulus_against_denser_quadrature():

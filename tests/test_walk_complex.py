@@ -6,7 +6,6 @@ from schoenberg import (
     compute_complex_coeffs,
     disk_from_sequence,
     disk_rule_sized,
-    inverse_walk_weight_complex,
     inverse_walk_weights_complex,
     random_complex_sequence,
     walk_down_complex,
@@ -122,17 +121,11 @@ def test_inverse_weights_positive():
             assert np.all(v > 0.0)
 
 
-def test_inverse_weight_consistency_scalar_vs_row():
-    weights = inverse_walk_weights_complex(3, 1, 4, 6)
-    for j in range(7):
-        assert inverse_walk_weight_complex(j, 3, 1, 4) == pytest.approx(weights[j])
-
-
 def test_inverse_weights_sum_to_one_along_diagonal():
     for q in (2, 3, 6):
         for top in ((4, 4), (7, 3), (2, 9)):
             total = sum(
-                inverse_walk_weight_complex(j, top[0] - j, top[1] - j, q)
+                inverse_walk_weights_complex(top[0] - j, top[1] - j, q, j)[j]
                 for j in range(min(top) + 1)
             )
             assert total == pytest.approx(1.0, abs=1e-13)
@@ -141,9 +134,9 @@ def test_inverse_weights_sum_to_one_along_diagonal():
 def test_origin_weight_is_one_on_axes():
     # the leading weight equals 1 exactly when m or n is zero
     for q in (2, 4, 7):
-        assert inverse_walk_weight_complex(0, 0, 5, q) == pytest.approx(1.0)
-        assert inverse_walk_weight_complex(0, 3, 0, q) == pytest.approx(1.0)
-        off_axis = inverse_walk_weight_complex(0, 2, 3, q)
+        assert inverse_walk_weights_complex(0, 5, q, 0)[0] == pytest.approx(1.0)
+        assert inverse_walk_weights_complex(3, 0, q, 0)[0] == pytest.approx(1.0)
+        off_axis = inverse_walk_weights_complex(2, 3, q, 0)[0]
         assert off_axis < 1.0
 
 
@@ -153,3 +146,31 @@ def test_walk_down_reports_unresolved_tail():
     assert down.tail_bound > 0.0
     clean = walk_down_complex(ComplexSchoenbergSequence(4, {(1, 1): 1.0}, 6))
     assert clean.tail_bound == 0.0
+
+
+def test_walk_down_rejects_bad_tail_tol():
+    seq = ComplexSchoenbergSequence(4, {(3, 3): 0.5, (0, 0): 0.5}, 6)
+    for tail_tol in (float("nan"), -1e-3):
+        with pytest.raises(ValueError, match="tail_tol"):
+            walk_down_complex(seq, tail_tol=tail_tol)
+
+
+def test_walk_down_matches_inverse_series():
+    # dense input: every diagonal summed with the paper's closed-form weights
+    rng = np.random.default_rng(17)
+    top = 32
+    for q in (3, 6):
+        entries = {
+            (m, n): rng.random() for m in range(top + 1) for n in range(top + 1 - m)
+        }
+        seq = ComplexSchoenbergSequence(q, entries, top)
+        down = walk_down_complex(seq)
+        series = {}
+        for (m, n) in entries:
+            weights = inverse_walk_weights_complex(m, n, q - 1, (top - m - n) // 2)
+            series[(m, n)] = sum(
+                w * seq.get(m + j, n + j) for j, w in enumerate(weights)
+            )
+        assert set(down.entries) == set(series)
+        for key, value in series.items():
+            assert abs(down.get(*key) - value) <= 1e-14 * value

@@ -7,7 +7,6 @@ from schoenberg import (
     RealSchoenbergSequence,
     compute_real_coeffs,
     cross_project,
-    inverse_walk_weight,
     inverse_walk_weights,
     isotropic_from_sequence,
     poisson_circle_coeffs,
@@ -134,10 +133,9 @@ def test_inverse_weights_positive():
         for j in range(1, 201):
             w = w * (n + 2 * j - 1) * (n + 2 * j) / ((n + 2 * j + d - 1) * (n + 2 * j + d))
             assert np.all(w > 0.0)
-    # spot-check the vectorized sweep against the public routine
-    assert inverse_walk_weights(7, 5, 10)[10] == pytest.approx(
-        inverse_walk_weight(10, 7, 5)
-    )
+            if d == 5 and j == 10:
+                # spot-check the vectorized sweep against the public routine
+                assert inverse_walk_weights(7, 5, 10)[10] == pytest.approx(w[7])
 
 
 def test_inverse_weights_sum_to_one_along_support():
@@ -146,7 +144,7 @@ def test_inverse_weights_sum_to_one_along_support():
     for d in (2, 3, 5, 8):
         for top in (6, 17, 40):
             total = sum(
-                inverse_walk_weight(j, top - 2 * j, d) for j in range(top // 2 + 1)
+                inverse_walk_weights(top - 2 * j, d, j)[j] for j in range(top // 2 + 1)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -161,6 +159,43 @@ def test_walk_down_reports_unresolved_tail():
     assert down.tail_bound > 0.0
     clean = walk_down(random_real_sequence(5, 10, seed=9, pad=2))
     assert clean.tail_bound == 0.0
+
+
+def test_walk_down_rejects_negative_n_out():
+    seq = random_real_sequence(4, 8, seed=1)
+    for n_out in (-1, -2):
+        with pytest.raises(ValueError, match="n_out"):
+            walk_down(seq, n_out=n_out)
+
+
+def test_walk_down_rejects_bad_tail_tol():
+    seq = random_real_sequence(4, 8, seed=1)
+    for tail_tol in (float("nan"), -1e-3):
+        with pytest.raises(ValueError, match="tail_tol"):
+            walk_down(seq, tail_tol=tail_tol)
+
+
+def series_walk_down(b, d_out):
+    """The inverse walk as the paper's series, summed per output degree."""
+    out = np.empty(len(b))
+    for n in range(len(b)):
+        terms = b[n::2]
+        if d_out == 1:
+            degrees = n + 2.0 * np.arange(len(terms))
+            out[n] = (1.0 if n == 0 else 2.0) * np.sum(terms / (degrees + 1.0))
+        else:
+            out[n] = inverse_walk_weights(n, d_out, len(terms) - 1) @ terms
+    return out
+
+
+def test_walk_down_matches_inverse_series():
+    rng = np.random.default_rng(16)
+    for d_out in (1, 3, 6, 40):
+        for n in (40, 1000):
+            coeffs = rng.random(n + 1)
+            seq = RealSchoenbergSequence(d_out + 2, coeffs / coeffs.sum())
+            down = walk_down(seq)
+            assert np.max(np.abs(down.coeffs - series_walk_down(seq.coeffs, d_out))) <= 1e-15
 
 
 def test_cross_project_trivials():
