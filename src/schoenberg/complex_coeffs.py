@@ -10,6 +10,23 @@ functions are real and nonnegative; the imaginary residue the quadrature
 leaves behind is tracked as a diagnostic rather than silently dropped,
 since a large residue means either a genuinely complex expansion or an
 under-resolved rule.
+
+Both transforms are separated. R_{m,n}(r e^{it}) = p_k(2 r^2 - 1) r^|l| e^{ilt}
+with l = m - n and k = min(m, n), so the angular factor depends only on
+the diagonal l and the radial factor only on (k, |l|):
+
+* ``compute_complex_coeffs`` reshapes the samples of the R x A rule to
+  radius x angle. For each pair of diagonals +-|l| it sums the samples
+  against e^{-ilt} over the uniform angles, which gives mode l at every
+  radius; one Jacobi recurrence over the R radii then gives every k on
+  those two diagonals. The angular sums cost O(R A M) and the recurrences O(M^2 R) for
+  max degree M; with the default A = 4M + 8 the whole is O(M^2 R), against
+  O(M^5) for evaluating every R_{m,n} at every node. (``np.fft`` would
+  bring the angular part to O(R A log A), but it adds close to 1 MB of
+  peak memory on first use, for a part that is not the bottleneck.)
+* ``reconstruct_complex`` groups the entries by diagonal and runs one
+  Jacobi recurrence per diagonal over the points, adding c_k p_k as it
+  goes, so it needs O(P) memory for P points.
 """
 from __future__ import annotations
 
@@ -17,13 +34,45 @@ import warnings
 
 import numpy as np
 
-from .disk_polys import disk_poly_eval, disk_rule_sized, h_norm
-from .quadrature import QuadratureResolutionWarning, QuadratureRule
+from .disk_polys import (
+    _angular,
+    _disk_points,
+    _polar_nodes,
+    _radial_sweep,
+    disk_rule_sized,
+    h_norm,
+)
+from .quadrature import QuadratureResolutionWarning, QuadratureRule, _finite_samples
 from .sequences import ComplexSchoenbergSequence
 
 __all__ = ["compute_complex_coeffs", "reconstruct_complex"]
 
 ILL_CONDITION_TOL = 1e-6
+
+
+def _polar_grid(rule: QuadratureRule, q: int):
+    """Radii, per-node weights and angle count of a ``disk_quadrature`` rule.
+
+    The rule's nodes run over the A angles 2 pi j / A at each radius in
+    turn, and every node on one circle has the same weight.
+    """
+    hint = f"build it with disk_quadrature({q}, R, A)"
+    if rule.nodes.ndim != 2:
+        raise ValueError(f"disk coefficients need a disk rule; {hint}")
+    x, y = rule.nodes.T
+    starts = np.flatnonzero((y == 0.0) & (x > 0.0))  # angle 0 opens each circle
+    angles = len(x) // max(len(starts), 1)
+    radii, weights = x[starts], rule.weights[starts]
+    if not (
+        np.array_equal(rule.nodes, _polar_nodes(radii, angles))
+        and np.array_equal(rule.weights, np.repeat(weights, angles))
+    ):
+        raise ValueError(f"disk coefficients need a radius x angle grid; {hint}")
+    # the weights carry the disk measure at parameter q - 2, whose mean of
+    # |z|^2 is 1/q; a rule built for another q would give plausible wrong numbers
+    if abs(angles * float(weights @ radii**2) - 1.0 / q) > 1e-12:
+        raise ValueError(f"rule does not fit the disk measure at q={q}; {hint}")
+    return radii, weights, angles
 
 
 def compute_complex_coeffs(
@@ -35,9 +84,11 @@ def compute_complex_coeffs(
     """Coefficients of ``phi`` at sphere parameter q, all m + n <= max_degree.
 
     ``phi`` is a DiskFunction or a plain vectorized callable on complex
-    points of the closed unit disk. The returned sequence stores the real
-    parts; the largest dropped imaginary magnitude is available as the
-    ``max_imag`` attribute of the result.
+    points of the closed unit disk. A given ``rule`` must come from
+    ``disk_quadrature(q, R, A)``; an angular grid too coarse for the degree
+    aliases mode l onto l mod A, as the sum over its nodes does. The
+    returned sequence stores the real parts; the largest dropped imaginary
+    magnitude is available as the ``max_imag`` attribute of the result.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -46,18 +97,28 @@ def compute_complex_coeffs(
     fn = getattr(phi, "eval", phi)
     if rule is None:
         rule = disk_rule_sized(q, max_degree)
-    z = rule.complex_nodes
-    weighted = rule.weights * np.asarray(fn(z), dtype=complex)
+    radii, weights, angles = _polar_grid(rule, q)
+    values = _finite_samples(fn, rule.complex_nodes, complex, "phi", "z")
+    samples = values.reshape(len(radii), angles)
     entries = {}
     max_imag = 0.0
     abs_mass = 0.0
-    for m in range(max_degree + 1):
-        for n in range(max_degree + 1 - m):
-            inner = np.sum(weighted * np.conj(disk_poly_eval(m, n, q - 2, z)))
-            a = h_norm(m, n, q) * inner
-            max_imag = max(max_imag, abs(float(a.imag)))
-            abs_mass += abs(float(a.real))
-            entries[(m, n)] = float(a.real)
+    for size in range(max_degree + 1):
+        diagonals = (size, -size) if size else (0,)
+        # mode l at radius r_i is sum_j phi(r_i e^{i t_j}) e^{-i l t_j}; the
+        # phase index j l is reduced mod A, so l aliases onto l mod A exactly
+        turns = np.outer(diagonals, np.arange(angles)) % angles
+        modes = (samples * np.exp(-2j * np.pi / angles * turns)[:, None, :]).sum(axis=-1)
+        # one row per diagonal l = +-size: w_i r_i^|l| times mode l at r_i
+        projected = weights * radii**size * modes
+        sweep = _radial_sweep((max_degree - size) // 2, q - 2, size, radii**2)
+        for k, radial in enumerate(sweep):
+            for ell, inner in zip(diagonals, (projected * radial).sum(axis=1)):
+                m, n = k + max(ell, 0), k + max(-ell, 0)
+                a = h_norm(m, n, q) * inner
+                max_imag = max(max_imag, abs(float(a.imag)))
+                abs_mass += abs(float(a.real))
+                entries[(m, n)] = float(a.real)
     if abs_mass > 1.0 + ILL_CONDITION_TOL:
         warnings.warn(
             f"absolute coefficient mass {abs_mass:.6g} exceeds 1; "
@@ -71,8 +132,15 @@ def compute_complex_coeffs(
 def reconstruct_complex(seq: ComplexSchoenbergSequence, z):
     """Evaluate the truncated disk expansion of ``seq`` at point(s) z."""
     scalar = np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.zeros_like(z)
+    z, radius_sq = _disk_points(np.atleast_1d(z))
+    by_diagonal = {}
     for (m, n), a in seq.entries.items():
-        out += a * disk_poly_eval(m, n, seq.q - 2, z)
+        by_diagonal.setdefault(m - n, {})[min(m, n)] = a
+    out = np.zeros_like(z)
+    for ell, column in by_diagonal.items():
+        radial_sum = np.zeros_like(radius_sq)
+        for k, radial in enumerate(_radial_sweep(max(column), seq.q - 2, ell, radius_sq)):
+            if k in column:
+                radial_sum += column[k] * radial
+        out += radial_sum * _angular(ell, z)
     return complex(out[0]) if scalar else out

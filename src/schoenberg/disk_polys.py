@@ -20,6 +20,13 @@ recursion
     (1 - |z|^2) R^{(q-1)}_{m-1,n}(z)
         = (q - 1) / (m + n + q - 1) * (R^{(q-2)}_{m-1,n}(z)
                                        - R^{(q-2)}_{m,n+1}(z)).
+
+R_{m,n} separates into a radial factor that depends only on (k, |m - n|)
+and an angular factor that depends only on the diagonal l = m - n. One
+Jacobi recurrence, ``_jacobi_sweep``, serves ``jacobi_eval``,
+``disk_poly_eval`` and the transforms in ``complex_coeffs``, which walk
+each diagonal's radial factors p_0, p_1, ... in one pass instead of
+evaluating every R_{m,n} from scratch.
 """
 from __future__ import annotations
 
@@ -42,6 +49,26 @@ __all__ = [
 DISK_BOUNDARY_TOL = 1e-12
 
 
+def _jacobi_sweep(k_max: int, a: float, b: float, x: np.ndarray):
+    """Yield the Jacobi polynomials P_0 .. P_k_max with parameters (a, b) at x.
+
+    Standard scaling, by the three-term recurrence in its usual handbook form.
+    """
+    p_prev = np.ones_like(x)
+    yield p_prev
+    if k_max == 0:
+        return
+    p_cur = 0.5 * (a - b + (a + b + 2.0) * x)
+    yield p_cur
+    for m in range(2, k_max + 1):
+        c1 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
+        c2 = (2.0 * m + a + b - 1.0) * (a * a - b * b)
+        c3 = (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b)
+        c4 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b)
+        p_prev, p_cur = p_cur, ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
+        yield p_cur
+
+
 def jacobi_eval(k: int, a: float, b: float, x):
     """Degree-k Jacobi polynomial with parameters (a, b), standard scaling.
 
@@ -49,18 +76,9 @@ def jacobi_eval(k: int, a: float, b: float, x):
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if k == 0:
-        return p_prev
-    p_cur = 0.5 * (a - b + (a + b + 2.0) * x)
-    for m in range(2, k + 1):
-        c1 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
-        c2 = (2.0 * m + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b)
-        c4 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b)
-        p_prev, p_cur = p_cur, ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
-    return p_cur
+    for p in _jacobi_sweep(k, a, b, np.asarray(x, dtype=float)):
+        pass
+    return p
 
 
 def jacobi_at_one(k: int, a: float) -> float:
@@ -69,6 +87,36 @@ def jacobi_at_one(k: int, a: float) -> float:
     for i in range(1, k + 1):
         value *= (a + i) / i
     return value
+
+
+def _radial_sweep(k_max: int, alpha: int, ell: int, s):
+    """Yield the radial factors p_0(2s - 1) .. p_k_max(2s - 1) of one diagonal.
+
+    These are the Jacobi polynomials with parameters (alpha, |ell|) scaled to
+    p_k(1) = 1, so on the diagonal m - n = ell the disk polynomial with
+    k = min(m, n) is ``p_k(2 |z|^2 - 1) * _angular(ell, z)``.
+    """
+    for k, p in enumerate(_jacobi_sweep(k_max, alpha, abs(ell), 2.0 * s - 1.0)):
+        yield p / jacobi_at_one(k, alpha)
+
+
+def _angular(ell: int, z):
+    """Angular factor z**ell of the diagonal m - n = ell (conj(z)**|ell| if ell < 0)."""
+    return z**ell if ell >= 0 else np.conj(z) ** -ell
+
+
+def _disk_points(z):
+    """``z`` as a complex array with ``|z|^2`` clamped to 1.
+
+    Raises ValueError naming the first point that is NaN or lies outside
+    the closed unit disk by more than the 1e-12 boundary margin.
+    """
+    z = np.asarray(z, dtype=complex)
+    radius_sq = (z * z.conjugate()).real
+    outside = ~(radius_sq <= 1.0 + 2.0 * DISK_BOUNDARY_TOL)
+    if np.any(outside):
+        raise ValueError(f"z must lie in the closed unit disk, got {z[outside].flat[0]}")
+    return z, np.minimum(radius_sq, 1.0)
 
 
 def disk_poly_eval(m: int, n: int, alpha: int, z):
@@ -81,20 +129,10 @@ def disk_poly_eval(m: int, n: int, alpha: int, z):
     if m < 0 or n < 0 or alpha < 0:
         raise ValueError("m, n and alpha must all be nonnegative")
     scalar = np.ndim(z) == 0
-    z = np.asarray(z, dtype=complex)
-    radius_sq = (z * z.conjugate()).real
-    outside = ~(radius_sq <= 1.0 + 2.0 * DISK_BOUNDARY_TOL)
-    if np.any(outside):
-        raise ValueError(f"z must lie in the closed unit disk, got {z[outside].flat[0]}")
-    radius_sq = np.minimum(radius_sq, 1.0)
-    k, s = min(m, n), abs(m - n)
-    radial = jacobi_eval(k, alpha, s, 2.0 * radius_sq - 1.0) / jacobi_at_one(k, alpha)
-    if m == n:
-        out = radial.astype(complex)
-    elif m > n:
-        out = radial * z**s
-    else:
-        out = radial * np.conj(z) ** s
+    z, radius_sq = _disk_points(z)
+    for radial in _radial_sweep(min(m, n), alpha, m - n, radius_sq):
+        pass
+    out = radial * _angular(m - n, z)
     return complex(out) if scalar else out
 
 
@@ -113,7 +151,9 @@ def disk_quadrature(q: int, radial_nodes: int, angular_nodes: int) -> Quadrature
     Gauss-Jacobi with parameters (q - 2, 0) for the radial density
     (q - 1) (1 - s)^(q-2) in s = r^2 on [0, 1], crossed with a uniform
     angular grid (exact for trigonometric polynomials of degree below the
-    grid size). Total weight is 1 up to roundoff.
+    grid size). Total weight is 1 up to roundoff. The nodes run over the
+    angles 2 pi j / angular_nodes at each radius in turn, the layout
+    ``compute_complex_coeffs`` reads back for its transform over angles.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -121,11 +161,16 @@ def disk_quadrature(q: int, radial_nodes: int, angular_nodes: int) -> Quadrature
         raise ValueError("node counts must be positive")
     t, radial_weight = gauss_jacobi(radial_nodes, q - 2, 0)
     r = np.sqrt(0.5 * (1.0 + t))  # s = r^2 = (1 + t) / 2
-    phi = 2.0 * pi * np.arange(angular_nodes) / angular_nodes
-    x = np.outer(r, np.cos(phi)).ravel()
-    y = np.outer(r, np.sin(phi)).ravel()
     weights = np.repeat(radial_weight / angular_nodes, angular_nodes)
-    return QuadratureRule(np.column_stack([x, y]), weights)
+    return QuadratureRule(_polar_nodes(r, angular_nodes), weights)
+
+
+def _polar_nodes(radii: np.ndarray, angular_nodes: int) -> np.ndarray:
+    """(x, y) rows of r e^{2 pi i j / A} for each radius r in turn, j = 0..A-1."""
+    phi = 2.0 * pi * np.arange(angular_nodes) / angular_nodes
+    x = np.outer(radii, np.cos(phi)).ravel()
+    y = np.outer(radii, np.sin(phi)).ravel()
+    return np.column_stack([x, y])
 
 
 def disk_rule_sized(q: int, max_degree: int) -> QuadratureRule:

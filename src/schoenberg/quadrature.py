@@ -120,6 +120,20 @@ def gauss_jacobi(n_nodes: int, alpha: float, beta: float):
     return x - step, 1.0 / (total - 2.0 * step * dtotal)
 
 
+def _finite_samples(fn, nodes: np.ndarray, dtype, name: str, var: str) -> np.ndarray:
+    """Values of ``fn`` at ``nodes``, one per node.
+
+    Raises ValueError naming the function and the first node where its
+    value is NaN or infinite, before any coefficient is formed from it.
+    """
+    values = np.broadcast_to(np.asarray(fn(nodes), dtype=dtype), nodes.shape)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{name}({var}={nodes[i]}) = {values[i]} is not finite")
+    return values
+
+
 def default_node_count(truncation: int) -> int:
     """Node count giving polynomial exactness plus margin for analytic inputs."""
     return max(128, 2 * truncation + 32)

@@ -24,6 +24,7 @@ from .gegenbauer import normalized_gegenbauer_table
 from .quadrature import (
     QuadratureResolutionWarning,
     QuadratureRule,
+    _finite_samples,
     default_node_count,
     interval_rule,
 )
@@ -100,7 +101,8 @@ def compute_real_coeffs(
         raise ValueError("truncation must be nonnegative")
     fn = getattr(psi, "eval", psi)
     rule = _rule_for(d, truncation, rule)
-    coeffs = _project_values(fn(np.arccos(rule.nodes)), d, truncation, rule)
+    values = _finite_samples(fn, np.arccos(rule.nodes), float, "psi", "theta")
+    coeffs = _project_values(values, d, truncation, rule)
     if np.abs(coeffs).sum() > 1.0 + ILL_CONDITION_TOL:
         warnings.warn(
             f"absolute coefficient mass {np.abs(coeffs).sum():.6g} exceeds 1; "

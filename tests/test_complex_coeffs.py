@@ -6,13 +6,16 @@ import pytest
 from schoenberg import (
     ComplexSchoenbergSequence,
     QuadratureResolutionWarning,
+    QuadratureRule,
     compute_complex_coeffs,
     disk_constant,
     disk_from_sequence,
     disk_monomial,
     disk_quadrature,
     disk_poly_eval,
+    disk_rule_sized,
     h_norm,
+    interval_rule,
     random_complex_sequence,
     reconstruct_complex,
 )
@@ -145,3 +148,104 @@ def test_basis_functions_are_orthonormal_under_map():
         rest = {k: v for k, v in seq.entries.items() if k != (m, n)}
         assert all(abs(v) <= 1e-12 for v in rest.values())
         assert h_norm(m, n, q) > 0.0
+
+
+def per_bidegree_sum(phi, q, max_degree, rule):
+    """Reference: h(m, n, q) * sum_i w_i phi(z_i) conj(R_{m,n}(z_i)), entry by entry."""
+    z, w = rule.complex_nodes, rule.weights
+    weighted = w * phi(z)
+    return {
+        (m, n): h_norm(m, n, q) * np.sum(weighted * np.conj(disk_poly_eval(m, n, q - 2, z)))
+        for m in range(max_degree + 1)
+        for n in range(max_degree + 1 - m)
+    }
+
+
+def test_separated_transform_matches_per_bidegree_sum():
+    # both sum the same integrand on the same nodes, so they differ by the
+    # rounding of the inner product, which h(m, n, q) then scales; at
+    # q = 100 h reaches 1e38, so there only the inner products are compared
+    for q in (2, 3, 5, 100):
+        for max_degree in (0, 1, 32):
+            phi = disk_from_sequence(random_complex_sequence(q, min(max_degree, 8), seed=q))
+            rule = disk_rule_sized(q, max_degree)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuadratureResolutionWarning)
+                got = compute_complex_coeffs(phi, q, max_degree, rule)
+            reference = per_bidegree_sum(phi, q, max_degree, rule)
+            assert set(got.entries) <= set(reference)
+            for (m, n), value in reference.items():
+                diff = abs(got.get(m, n) - value.real)
+                assert diff / h_norm(m, n, q) <= 1e-15
+                assert q == 100 or diff <= 1e-12
+            assert got.max_imag <= max(1e-15, max(abs(v.imag) for v in reference.values()))
+
+
+def test_under_resolved_grid_aliases_like_per_node_sum():
+    # six angles cannot tell mode l from l - 6; the transform over angles
+    # must alias exactly as the sum over the nodes does
+    rule = disk_quadrature(2, 3, 6)
+    phi = disk_mixture_high_degree()
+    with pytest.warns(QuadratureResolutionWarning):
+        got = compute_complex_coeffs(phi, 2, 10, rule)
+    reference = per_bidegree_sum(phi, 2, 10, rule)
+    assert max(abs(got.get(*k) - v.real) for k, v in reference.items()) <= 1e-12
+    assert got.max_imag == pytest.approx(max(abs(v.imag) for v in reference.values()), abs=1e-12)
+
+
+def test_rule_for_another_q_is_rejected():
+    # the q = 6 rule would give a_{1,1} = -0.095 and a_{2,2} = -0.32 for |z|^2
+    # at q = 3, where the true entries are a_{0,0} = 1/3 and a_{1,1} = 2/3
+    with pytest.raises(ValueError, match=r"q=3.*disk_quadrature\(3"):
+        compute_complex_coeffs(disk_monomial(1, 1), 3, 4, disk_quadrature(6, 20, 24))
+
+
+def test_rule_that_is_not_a_polar_grid_is_rejected():
+    rule = disk_quadrature(3, 8, 12)
+    order = np.random.default_rng(0).permutation(len(rule.weights))
+    shuffled = QuadratureRule(rule.nodes[order], rule.weights[order])
+    for bad in (interval_rule(2, 16), shuffled):
+        with pytest.raises(ValueError, match="disk_quadrature"):
+            compute_complex_coeffs(disk_constant(), 3, 2, bad)
+
+
+def test_non_finite_phi_is_named():
+    rule = disk_quadrature(3, 8, 12)
+    z = rule.complex_nodes
+    first = z[np.flatnonzero(z.real < 0.0)[0]]
+
+    def phi(points):
+        return np.where(points.real < 0.0, np.nan, 1.0)
+
+    with pytest.raises(ValueError, match=r"phi\(z=") as info:
+        compute_complex_coeffs(phi, 3, 4, rule)
+    assert str(first) in str(info.value) and "nan" in str(info.value)
+
+
+def per_entry_sum(seq, z):
+    out = np.zeros_like(np.atleast_1d(np.asarray(z, dtype=complex)))
+    for (m, n), a in seq.entries.items():
+        out = out + a * disk_poly_eval(m, n, seq.q - 2, z)
+    return out
+
+
+def test_reconstruct_matches_per_entry_sum():
+    rng = np.random.default_rng(8)
+    points = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 200))
+    rim = (1.0 + 5e-13) * np.exp(0.3j)
+    for q in (2, 3, 5, 100):
+        seq = random_complex_sequence(q, 12, seed=q, n_terms=40)
+        got = reconstruct_complex(seq, points)
+        assert np.max(np.abs(got - per_entry_sum(seq, points))) <= 1e-13
+        scalar = reconstruct_complex(seq, 0.4 - 0.2j)
+        assert isinstance(scalar, complex)
+        assert abs(scalar - per_entry_sum(seq, 0.4 - 0.2j)[0]) <= 1e-13
+        assert abs(reconstruct_complex(seq, rim) - per_entry_sum(seq, rim)[0]) <= 1e-13
+        assert reconstruct_complex(seq, []).shape == (0,)
+        for bad in (complex("nan"), 1.01, np.array([0.1, 1j * (1.0 + 1e-9)])):
+            with pytest.raises(ValueError, match="z"):
+                reconstruct_complex(seq, bad)
+    empty = ComplexSchoenbergSequence(3, {}, 4)
+    assert np.array_equal(reconstruct_complex(empty, points), np.zeros_like(points))
+    with pytest.raises(ValueError, match="nan"):
+        reconstruct_complex(empty, complex("nan"))

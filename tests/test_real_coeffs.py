@@ -151,3 +151,19 @@ def test_under_resolved_rule_is_reported():
     rule = interval_rule(1, 16)
     with pytest.warns(QuadratureResolutionWarning):
         compute_real_coeffs(poisson_isotropic(0.9), 1, 40, rule)
+
+
+def test_non_finite_psi_is_named():
+    # the first node with theta > 1 carries the NaN; the error must name
+    # psi and that node, not a downstream array
+    def psi(theta):
+        return np.where(theta > 1.0, np.nan, 1.0)
+
+    rule = interval_rule(3, 16)
+    theta = np.arccos(rule.nodes)
+    first = theta[np.flatnonzero(theta > 1.0)[0]]
+    with pytest.raises(ValueError, match=r"psi\(theta=") as info:
+        compute_real_coeffs(psi, 3, 4, rule)
+    assert str(first) in str(info.value) and "nan" in str(info.value)
+    with pytest.raises(ValueError, match="psi.*inf"):
+        compute_real_coeffs(lambda theta: np.full_like(theta, np.inf), 2, 4)
