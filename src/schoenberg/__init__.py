@@ -32,12 +32,7 @@ from .functions import (
     random_complex_sequence,
     random_real_sequence,
 )
-from .gegenbauer import (
-    gegenbauer_at_one,
-    gegenbauer_eval,
-    normalized_gegenbauer,
-    order_for_dimension,
-)
+from .gegenbauer import normalized_gegenbauer
 from .quadrature import (
     QuadratureResolutionWarning,
     QuadratureRule,
@@ -64,17 +59,8 @@ from .spd import (
     support_pattern,
     transfer_class,
 )
-from .walk_complex import (
-    inverse_walk_weights_complex,
-    walk_down_complex,
-    walk_up_complex,
-)
-from .walk_real import (
-    cross_project,
-    inverse_walk_weights,
-    walk_down,
-    walk_up,
-)
+from .walk_complex import walk_down_complex, walk_up_complex
+from .walk_real import cross_project, walk_down, walk_up
 
 __version__ = "0.1.0"
 
@@ -106,14 +92,10 @@ __all__ = [
     "disk_quadrature",
     "disk_rule_sized",
     "gauss_jacobi",
-    "gegenbauer_at_one",
-    "gegenbauer_eval",
     "gegenbauer_mixture",
     "h_norm",
     "harmonic_dimension",
     "interval_rule",
-    "inverse_walk_weights",
-    "inverse_walk_weights_complex",
     "isotropic_from_sequence",
     "jacobi_at_one",
     "jacobi_eval",
@@ -122,7 +104,6 @@ __all__ = [
     "make_disk",
     "make_isotropic",
     "normalized_gegenbauer",
-    "order_for_dimension",
     "poisson_circle_coeffs",
     "poisson_isotropic",
     "random_complex_sequence",

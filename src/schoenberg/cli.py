@@ -31,7 +31,7 @@ from .functions import make_disk, make_isotropic
 from .quadrature import QuadratureResolutionWarning, interval_rule
 from .disk_polys import disk_quadrature
 from .real_coeffs import compute_real_coeffs, reconstruct
-from .selftest import run_selftest
+from .selftest import SEED, run_selftest
 from .sequences import (
     ComplexSchoenbergSequence,
     RealSchoenbergSequence,
@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spd_check)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -1,15 +1,16 @@
-"""Built-in invariant suite behind the ``selftest`` CLI command.
-
-Smaller, faster renditions of the checks the full test suite performs:
-each check exercises one identity the implementation is supposed to
-satisfy, against an oracle that is independent of the code path under
-test. Deterministic for a fixed seed.
+"""The one registry of invariant checks, behind ``schoenberg selftest``
+and the acceptance suite in ``tests/test_acceptance.py``, which runs the
+ten checks that carry a criterion number. Each check tests one identity
+against an oracle independent of the code path under test, and draws from
+``default_rng(seed + offset)``: deterministic for a fixed seed, and at the
+default seed the criteria report the acceptance numbers.
 """
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
-from math import pi
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +32,9 @@ from .spd import check_progressions, support_pattern
 from .walk_complex import walk_down_complex, walk_up_complex
 from .walk_real import cross_project, walk_down, walk_up
 
-__all__ = ["CheckResult", "run_selftest"]
+__all__ = ["CHECKS", "SEED", "Check", "CheckResult", "run_selftest"]
+
+SEED = 20240801
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,56 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    elapsed: float
+
+
+@dataclass(frozen=True)
+class Check:
+    """One identity: ``body(rng, tol)`` returns ``(passed, detail)``. A check
+    with a ``time_limit`` also fails when its body takes that long or longer."""
+
+    name: str
+    body: Callable[[np.random.Generator, float | None], tuple[bool, str]]
+    tol: float | None
+    offset: int = 0
+    criterion: int | None = None
+    description: str | None = None
+    time_limit: float | None = None
+
+    def run(self, seed: int) -> CheckResult:
+        rng = np.random.default_rng(seed + self.offset)
+        start = time.perf_counter()
+        try:
+            passed, detail = self.body(rng, self.tol)
+        except Exception as exc:  # a crashing check is a failing check
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
+        if self.time_limit is not None and elapsed >= self.time_limit:
+            passed, detail = False, f"{detail}; over the {self.time_limit:g}s time limit"
+        return CheckResult(self.name, bool(passed), detail, elapsed)
+
+
+def _within(label, worst, tol):
+    # the tolerance reads as written in the registry: 1e-8, not 1e-08
+    mantissa, exponent = f"{tol:.0e}".split("e")
+    return worst <= tol, f"{label} {worst:.2e}, tol {mantissa}e{int(exponent)}"
+
+
+def _off_class(coeffs_fn, *args):
+    # a mixture built one level down need not be positive definite one level
+    # up, so the absolute-mass heuristic is expected to fire on the recompute
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureResolutionWarning)
+        return coeffs_fn(*args)
+
+
+def _entry_error(a, b):
+    keys = set(a.entries) | set(b.entries)
+    return max((abs(a.get(*k) - b.get(*k)) for k in keys), default=0.0)
+
+
+def _lift(seq):
+    return ComplexSchoenbergSequence(seq.q, seq.entries, seq.max_degree + 2)
 
 
 def _legendre(n, x):
@@ -51,7 +104,7 @@ def _legendre(n, x):
     return p1
 
 
-def _check_gegenbauer_recurrence(rng):
+def _gegenbauer_recurrence(rng, tol):
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 60))
@@ -63,28 +116,28 @@ def _check_gegenbauer_recurrence(rng):
         residual = n * c2 - 2.0 * u * (n + order - 1.0) * c1 + (n + 2.0 * order - 2.0) * c0
         scale = max(abs(n * c2), abs(2 * u * (n + order - 1) * c1), 1.0)
         worst = max(worst, abs(residual) / scale)
-    return worst <= 1e-12, f"max relative residual {worst:.2e}"
+    return worst <= tol, f"max relative residual {worst:.2e}"
 
 
-def _check_legendre_agreement(rng):
+def _legendre_agreement(rng, tol):
     u = rng.uniform(-1.0, 1.0, 64)
     worst = max(
         float(np.max(np.abs(gegenbauer_eval(n, 0.5, u) - _legendre(n, u))))
         for n in range(61)
     )
-    return worst <= 1e-13, f"max abs difference {worst:.2e}"
+    return worst <= tol, f"max abs difference {worst:.2e}"
 
 
-def _check_normalized_bound(rng):
+def _normalized_bound(rng, tol):
     u = np.linspace(-1.0, 1.0, 1001)
     worst = 0.0
     for d in (2, 3, 5, 8):
         for n in range(0, 51, 5):
             worst = max(worst, float(np.max(np.abs(normalized_gegenbauer(n, d, u)))))
-    return worst <= 1.0 + 1e-12, f"max |value| {worst:.15f}"
+    return worst <= 1.0 + tol, f"max |value| {worst:.15f}"
 
 
-def _check_coefficient_map_one_hot(rng):
+def _coefficient_map_one_hot(rng, tol):
     # the coefficient map must send each basis polynomial to a one-hot vector
     worst = 0.0
     for d in range(2, 7):
@@ -94,182 +147,182 @@ def _check_coefficient_map_one_hot(rng):
             seq = RealSchoenbergSequence(d, one_hot)
             got = compute_real_coeffs(isotropic_from_sequence(seq), d, n)
             worst = max(worst, float(np.max(np.abs(got.coeffs - one_hot))))
-    return worst <= 1e-11, f"max deviation from one-hot {worst:.2e}"
+    return worst <= tol, f"max deviation from one-hot {worst:.2e}"
 
 
-def _check_poisson_circle(rng):
+def _poisson_circle(rng, tol):
     got = compute_real_coeffs(poisson_isotropic(0.5), 1, 25)
     expected = poisson_circle_coeffs(0.5, 25)
     worst = float(np.max(np.abs(got.coeffs - expected.coeffs)))
-    return worst <= 1e-12, f"max abs error {worst:.2e}"
+    return worst <= tol, f"max abs error {worst:.2e}"
 
 
-def _check_real_roundtrip(rng):
+def _real_roundtrip(rng, tol):
     worst = 0.0
-    for d in range(2, 7):
-        for _ in range(20):
-            n = int(rng.integers(3, 30))
-            seq = random_real_sequence(d, n, int(rng.integers(0, 2**31)), pad=2)
+    for d in (2, 3, 4, 5, 6):
+        for _ in range(200):
+            support = int(rng.integers(3, 39))  # truncation support + 2 <= 40
+            seq = random_real_sequence(d, support, int(rng.integers(2**31)), pad=2)
             back = walk_down(walk_up(seq), n_out=seq.truncation)
             worst = max(worst, float(np.max(np.abs(back.coeffs - seq.coeffs))))
-    return worst <= 1e-11, f"max roundtrip error {worst:.2e}"
+    return _within("max err", worst, tol)
 
 
-def _check_inverse_series_to_circle(rng):
-    b1 = poisson_circle_coeffs(0.5, 62)
-    b3 = walk_up(b1)
-    back = walk_down(b3, n_out=20)
-    worst = float(np.max(np.abs(back.coeffs - b1.coeffs[:21])))
-    return worst <= 1e-8, f"max abs error {worst:.2e}"
+def _inverse_series_to_circle(rng, tol):
+    # closed-form chain for the Poisson kernel with r = 1/2: Fourier oracle
+    # on the circle, forward walk to d = 3 truncated at degree 60, inverse
+    # series back down, compare for degrees <= 20
+    oracle = poisson_circle_coeffs(0.5, 62)
+    at_three = walk_up(oracle)
+    recovered = walk_down(at_three, n_out=20)
+    worst = float(np.max(np.abs(recovered.coeffs - oracle.coeffs[:21])))
+    ok, detail = _within("max err", worst, tol)
+    return ok and at_three.truncation == 60, detail
 
 
-def _check_cross_project(rng):
+def _real_walk_quadrature_oracle(rng, tol):
+    worst = 0.0
+    for _ in range(10):
+        seq = random_real_sequence(2, 15, int(rng.integers(2**31)), pad=2)
+        walked = walk_up(seq)
+        via = _off_class(compute_real_coeffs, isotropic_from_sequence(seq), 4, walked.truncation)
+        worst = max(worst, float(np.max(np.abs(walked.coeffs - via.coeffs))))
+    return _within("max err", worst, tol)
+
+
+def _cross_projection(rng, tol):
     worst = 0.0
     for d, d_prime in ((5, 2), (4, 1), (6, 3)):
-        seq = random_real_sequence(d, 10, int(rng.integers(0, 2**31)))
-        direct = cross_project(seq, d_prime)
-        via = compute_real_coeffs(isotropic_from_sequence(seq), d_prime, 10)
-        worst = max(worst, float(np.max(np.abs(direct.coeffs - via.coeffs))))
-    return worst <= 1e-9, f"max path disagreement {worst:.2e}"
+        for _ in range(5):
+            seq = random_real_sequence(d, 12, int(rng.integers(2**31)))
+            direct = cross_project(seq, d_prime)
+            via = compute_real_coeffs(isotropic_from_sequence(seq), d_prime, 12)
+            worst = max(worst, float(np.max(np.abs(direct.coeffs - via.coeffs))))
+    return _within("max err", worst, tol)
 
 
-def _check_disk_orthogonality(rng):
+def _disk_orthogonality(rng, tol):
     worst = 0.0
-    for q in (2, 3):
-        rule = disk_quadrature(q, 30, 40)
+    for q in (2, 3, 4, 5):
+        rule = disk_quadrature(q, 40, 64)
         z, w = rule.complex_nodes, rule.weights
-        table = {
-            (m, n): disk_poly_eval(m, n, q - 2, z)
-            for m in range(5)
-            for n in range(5)
-        }
-        for (m, n), left in table.items():
-            for (k, l), right in table.items():
-                inner = np.sum(w * left * np.conj(right))
-                target = 1.0 / h_norm(m, n, q) if (m, n) == (k, l) else 0.0
-                worst = max(worst, abs(inner - target))
-    return worst <= 1e-10, f"max orthogonality error {worst:.2e}"
+        pairs = [(m, n) for m in range(7) for n in range(7)]
+        table = np.array([disk_poly_eval(m, n, q - 2, z) for m, n in pairs])
+        gram = (table * w) @ table.conj().T
+        target = np.diag([1.0 / h_norm(m, n, q) for m, n in pairs])
+        worst = max(worst, float(np.max(np.abs(gram - target))))
+    return _within("max err", worst, tol)
 
 
-def _check_disk_recursion(rng):
+def _disk_recursion(rng, tol):
     worst = 0.0
-    for _ in range(200):
+    for _ in range(1000):
         q = int(rng.integers(2, 7))
         m = int(rng.integers(1, 11))
         n = int(rng.integers(0, 11))
-        z = np.sqrt(rng.uniform()) * np.exp(2j * pi * rng.uniform())
+        z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         lhs = (1.0 - abs(z) ** 2) * disk_poly_eval(m - 1, n, q - 1, z)
         rhs = (q - 1.0) / (m + n + q - 1.0) * (
             disk_poly_eval(m - 1, n, q - 2, z) - disk_poly_eval(m, n + 1, q - 2, z)
         )
         worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-12, f"max residual {worst:.2e}"
+    return _within("max residual", worst, tol)
 
 
-def _check_complex_roundtrip(rng):
+def _complex_roundtrip(rng, tol):
     worst = 0.0
-    for q in range(2, 6):
-        for _ in range(20):
-            seq = random_complex_sequence(q, 10, int(rng.integers(0, 2**31)))
-            lifted = ComplexSchoenbergSequence(q, seq.entries, 12)
-            back = walk_down_complex(walk_up_complex(lifted))
-            keys = set(seq.entries) | set(back.entries)
-            worst = max(
-                worst,
-                max(abs(back.get(*k) - seq.get(*k)) for k in keys),
-            )
-    return worst <= 1e-10, f"max roundtrip error {worst:.2e}"
+    for q in (2, 3, 4, 5):
+        for _ in range(200):
+            degree = int(rng.integers(2, 11))  # max_degree degree + 2 <= 12
+            seq = random_complex_sequence(q, degree, int(rng.integers(2**31)))
+            back = walk_down_complex(walk_up_complex(_lift(seq)))
+            worst = max(worst, _entry_error(seq, back))
+    return _within("max err", worst, tol)
 
 
-def _check_complex_quadrature_oracle(rng):
-    seq = random_complex_sequence(2, 6, int(rng.integers(0, 2**31)))
-    lifted = ComplexSchoenbergSequence(2, seq.entries, 8)
-    walked = walk_up_complex(lifted)
-    with warnings.catch_warnings():
-        # the mixture leaves the class one level up; the absolute-mass
-        # heuristic is expected to fire and is not a failure here
-        warnings.simplefilter("ignore", QuadratureResolutionWarning)
-        via = compute_complex_coeffs(
-            disk_from_sequence(seq), 3, 6, disk_rule_sized(3, 8)
-        )
-    keys = set(walked.entries) | set(via.entries)
-    worst = max(abs(walked.get(*k) - via.get(*k)) for k in keys)
-    return worst <= 1e-9, f"max path disagreement {worst:.2e}"
-
-
-def _check_mass_conservation(rng):
+def _complex_walk_quadrature_oracle(rng, tol):
     worst = 0.0
-    for d in (2, 5):
-        seq = random_real_sequence(d, 20, int(rng.integers(0, 2**31)), pad=2)
-        up = walk_up(seq)
-        worst = max(worst, abs(up.total_mass - seq.total_mass))
-        worst = max(worst, abs(walk_down(up, n_out=seq.truncation).total_mass - seq.total_mass))
-    for q in (2, 4):
-        seq = random_complex_sequence(q, 8, int(rng.integers(0, 2**31)))
-        lifted = ComplexSchoenbergSequence(q, seq.entries, 10)
-        up = walk_up_complex(lifted)
-        worst = max(worst, abs(up.total_mass - seq.total_mass))
-        worst = max(worst, abs(walk_down_complex(up).total_mass - seq.total_mass))
-    return worst <= 1e-10, f"max mass drift {worst:.2e}"
+    for q in (2, 3):
+        for _ in range(5):
+            seq = random_complex_sequence(q, 6, int(rng.integers(2**31)))
+            walked = walk_up_complex(_lift(seq))  # headroom keeps degree 6
+            rule = disk_rule_sized(q + 1, 8)
+            via = _off_class(compute_complex_coeffs, disk_from_sequence(seq), q + 1, 6, rule)
+            worst = max(worst, _entry_error(walked, via))
+    return _within("max err", worst, tol)
 
 
-def _check_spd_progressions(rng):
-    diagonal = ComplexSchoenbergSequence(2, {(0, 0): 0.5, (2, 2): 0.5}, 4)
-    report = check_progressions(support_pattern(diagonal), 2)
-    if (2, 1) not in report.violations:
-        return False, "diagonal support should miss residue 1 mod 2"
-    full = ComplexSchoenbergSequence(
-        3,
-        {(m, n): 1.0 / 36 for m in range(6) for n in range(6 - m)},
-        5,
-    )
-    report = check_progressions(support_pattern(full), 5)
-    if report.violations:
-        return False, f"full support unexpectedly violates at {report.violations[0]}"
-    return True, "verdicts as expected"
+def _mass_conservation(rng, tol):
+    worst = 0.0
+    for d in (1, 2, 3, 4, 5, 6):
+        for _ in range(50):
+            support = int(rng.integers(3, 39))
+            seq = random_real_sequence(d, support, int(rng.integers(2**31)), pad=2)
+            up = walk_up(seq)
+            for walked in (up, walk_down(up, n_out=seq.truncation)):
+                worst = max(worst, abs(walked.total_mass - seq.total_mass))
+    for q in (2, 3, 4, 5):
+        for _ in range(50):
+            degree = int(rng.integers(2, 11))
+            seq = random_complex_sequence(q, degree, int(rng.integers(2**31)))
+            up = walk_up_complex(_lift(seq))
+            for walked in (up, walk_down_complex(up)):
+                worst = max(worst, abs(walked.total_mass - seq.total_mass))
+    return _within("max drift", worst, tol)
 
 
-def _check_support_transfer(rng):
-    for _ in range(20):
-        q = int(rng.integers(2, 6))
-        upper = random_complex_sequence(q + 1, 9, int(rng.integers(0, 2**31)))
+def _spd_diagnostics(rng, tol):
+    # (a) diagonal support: certified violation at modulus 2, residue 1
+    diagonal = ComplexSchoenbergSequence(2, {(1, 1): 0.6, (3, 3): 0.4}, 6)
+    verdict = check_progressions(support_pattern(diagonal), 2)
+    part_a = (2, 1) in verdict.violations and verdict.certified_violation
+    # (b) full support up to M = 6 passes every progression with modulus <= M
+    pairs = [(m, n) for m in range(7) for n in range(7 - m)]
+    full = ComplexSchoenbergSequence(2, {p: 1.0 / len(pairs) for p in pairs}, 6)
+    part_b = not check_progressions(support_pattern(full), 6).violations
+    # (c) support transfer through the inverse walk, 100 random sparse cases
+    part_c = True
+    for _ in range(100):
+        upper = random_complex_sequence(int(rng.integers(3, 7)), 9, int(rng.integers(2**31)))
         lower = walk_down_complex(upper)
-        for (m, n) in {(m - j, n - j) for (m, n) in upper.entries for j in range(min(m, n) + 1)}:
-            expected = any(
-                upper.get(m + j, n + j) > 0.0 for j in range(upper.max_degree + 1)
-            )
-            if (lower.get(m, n) > 0.0) != expected:
-                return False, f"support mismatch at ({m}, {n})"
-    return True, "support transfers exactly"
+        for m, n in {(m - j, n - j) for (m, n) in upper.entries for j in range(min(m, n) + 1)}:
+            upstairs = any(upper.get(m + j, n + j) > 0.0 for j in range(upper.max_degree + 1))
+            part_c = part_c and (lower.get(m, n) > 0.0) == upstairs
+    ok = part_a and part_b and part_c
+    return ok, f"diagonal={part_a}, full={part_b}, transfer={part_c}"
 
 
-_CHECKS = [
-    ("gegenbauer-recurrence-residual", _check_gegenbauer_recurrence),
-    ("gegenbauer-legendre-agreement", _check_legendre_agreement),
-    ("normalized-basis-bounded", _check_normalized_bound),
-    ("coefficient-map-one-hot", _check_coefficient_map_one_hot),
-    ("poisson-circle-closed-form", _check_poisson_circle),
-    ("real-walk-roundtrip", _check_real_roundtrip),
-    ("inverse-series-to-circle", _check_inverse_series_to_circle),
-    ("cross-projection-agreement", _check_cross_project),
-    ("disk-orthogonality", _check_disk_orthogonality),
-    ("disk-recursion", _check_disk_recursion),
-    ("complex-walk-roundtrip", _check_complex_roundtrip),
-    ("complex-walk-quadrature-oracle", _check_complex_quadrature_oracle),
-    ("walk-mass-conservation", _check_mass_conservation),
-    ("spd-progression-verdicts", _check_spd_progressions),
-    ("spd-support-transfer", _check_support_transfer),
-]
+CHECKS = (
+    Check("gegenbauer-recurrence-residual", _gegenbauer_recurrence, 1e-12),
+    Check("gegenbauer-legendre-agreement", _legendre_agreement, 1e-13),
+    Check("normalized-basis-bounded", _normalized_bound, 1e-12),
+    Check("coefficient-map-one-hot", _coefficient_map_one_hot, 1e-11),
+    Check("poisson-circle-closed-form", _poisson_circle, 1e-12),
+    Check("real-walk-roundtrip", _real_roundtrip, 1e-11, 0, 1,
+          "real walk roundtrip == identity (1000 sequences, d=2..6, N<=40)", 5.0),
+    Check("inverse-series-to-circle", _inverse_series_to_circle, 1e-8, 0, 2,
+          "inverse series (d=3 -> 1) matches Fourier oracle for Poisson r=1/2"),
+    Check("real-walk-quadrature-oracle", _real_walk_quadrature_oracle, 1e-9, 1, 3,
+          "forward walk d=2->4 vs quadrature of the reconstruction (N=15)"),
+    Check("cross-projection-agreement", _cross_projection, 1e-9, 2, 4,
+          "projection d->d' vs reconstruct-then-recompute for (5,2),(4,1),(6,3)"),
+    Check("disk-orthogonality", _disk_orthogonality, 1e-10, 0, 5,
+          "disk orthogonality vs h for q=2..5, all bi-degrees <= 6", 10.0),
+    Check("disk-recursion", _disk_recursion, 1e-12, 3, 6,
+          "disk recursion residual at 1000 random (z, m<=10, n<=10, q<=6)"),
+    Check("complex-walk-roundtrip", _complex_roundtrip, 1e-10, 4, 7,
+          "complex walk roundtrip == identity (800 sequences, q=2..5, M<=12)"),
+    Check("complex-walk-quadrature-oracle", _complex_walk_quadrature_oracle, 1e-9, 5, 8,
+          "forward complex walk vs quadrature of the reconstruction (q=2,3, M<=8)"),
+    Check("walk-mass-conservation", _mass_conservation, 1e-10, 6, 9,
+          "every walk conserves total coefficient mass"),
+    Check("spd-diagnostics", _spd_diagnostics, None, 7, 10,
+          "SPD diagnostics: parity violation, full support pass, support transfer"),
+)
 
 
-def run_selftest(seed: int = 20240801) -> list[CheckResult]:
+def run_selftest(seed: int = SEED) -> list[CheckResult]:
     """Run every registered check; deterministic for a fixed seed."""
-    results = []
-    for name, fn in _CHECKS:
-        rng = np.random.default_rng(seed)
-        try:
-            passed, detail = fn(rng)
-        except Exception as exc:  # a crashing check is a failing check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, bool(passed), detail))
-    return results
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return [check.run(seed) for check in CHECKS]

@@ -1,267 +1,60 @@
-"""Acceptance suite: one test per release criterion, each printing a
-pass/fail line with the measured worst case. Tolerances are fixed here and
-nowhere else. Run with ``pytest tests/test_acceptance.py -v -s``.
+"""Acceptance suite: one test per release criterion, each printing a pass/fail
+line with the measured worst case. The checks, their tolerances and seeds live
+in the ``schoenberg.selftest`` registry. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
-import time
-
-import numpy as np
-import pytest
-
-from schoenberg import (
-    ComplexSchoenbergSequence,
-    check_progressions,
-    compute_complex_coeffs,
-    compute_real_coeffs,
-    disk_from_sequence,
-    disk_poly_eval,
-    disk_quadrature,
-    disk_rule_sized,
-    cross_project,
-    h_norm,
-    isotropic_from_sequence,
-    poisson_circle_coeffs,
-    random_complex_sequence,
-    random_real_sequence,
-    support_pattern,
-    walk_down,
-    walk_down_complex,
-    walk_up,
-    walk_up_complex,
-)
-
-SEED = 20240801
+from schoenberg.selftest import CHECKS, SEED
 
 
-def report(number, description, ok, detail):
-    status = "PASS" if ok else "FAIL"
-    line = f"[{status}] criterion {number:2d}: {description} ({detail})"
+def report(number):
+    check = next(c for c in CHECKS if c.criterion == number)
+    result = check.run(SEED)
+    timing = f"; {result.elapsed:.2f}s < {check.time_limit:g}s" if check.time_limit else ""
+    status = "PASS" if result.passed else "FAIL"
+    line = f"[{status}] criterion {number:2d}: {check.description} ({result.detail}{timing})"
     print(line)
-    assert ok, line
-
-
-def entry_error(a, b):
-    keys = set(a.entries) | set(b.entries)
-    return max((abs(a.get(*k) - b.get(*k)) for k in keys), default=0.0)
-
-
-def lift(seq, extra=2):
-    return ComplexSchoenbergSequence(seq.q, seq.entries, seq.max_degree + extra)
+    assert result.passed, line
 
 
 def test_criterion_01_real_roundtrip_identity():
-    rng = np.random.default_rng(SEED)
-    start = time.perf_counter()
-    worst = 0.0
-    for d in (2, 3, 4, 5, 6):
-        for _ in range(200):
-            support = int(rng.integers(3, 39))  # truncation support + 2 <= 40
-            seq = random_real_sequence(d, support, int(rng.integers(2**31)), pad=2)
-            back = walk_down(walk_up(seq), n_out=seq.truncation)
-            worst = max(worst, float(np.max(np.abs(back.coeffs - seq.coeffs))))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-11 and elapsed < 5.0
-    report(
-        1,
-        "real walk roundtrip == identity (1000 sequences, d=2..6, N<=40)",
-        ok,
-        f"max err {worst:.2e}, tol 1e-11; {elapsed:.2f}s < 5s",
-    )
+    report(1)
 
 
 def test_criterion_02_inverse_series_recovers_circle_coefficients():
-    # closed-form chain for the Poisson kernel with r = 1/2: Fourier oracle
-    # on the circle, forward walk to d = 3 truncated at degree 60, inverse
-    # series back down, compare for degrees <= 20
-    oracle = poisson_circle_coeffs(0.5, 62)
-    at_three = walk_up(oracle)
-    assert at_three.truncation == 60
-    recovered = walk_down(at_three, n_out=20)
-    worst = float(np.max(np.abs(recovered.coeffs - oracle.coeffs[:21])))
-    report(
-        2,
-        "inverse series (d=3 -> 1) matches Fourier oracle for Poisson r=1/2",
-        worst <= 1e-8,
-        f"max err {worst:.2e}, tol 1e-8",
-    )
+    report(2)
 
 
-# mixtures built at d = 2 need not be positive definite at d = 4, so the
-# recomputed coefficients legitimately trip the absolute-mass heuristic
-@pytest.mark.filterwarnings("ignore::schoenberg.QuadratureResolutionWarning")
 def test_criterion_03_walk_up_agrees_with_quadrature():
-    rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    for _ in range(10):
-        seq = random_real_sequence(2, 15, int(rng.integers(2**31)), pad=2)
-        walked = walk_up(seq)
-        via = compute_real_coeffs(isotropic_from_sequence(seq), 4, walked.truncation)
-        worst = max(worst, float(np.max(np.abs(walked.coeffs - via.coeffs))))
-    report(
-        3,
-        "forward walk d=2->4 vs quadrature of the reconstruction (N=15)",
-        worst <= 1e-9,
-        f"max err {worst:.2e}, tol 1e-9",
-    )
+    report(3)
 
 
 def test_criterion_04_cross_projection_agrees_with_recompute():
-    rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
-    for d, d_prime in ((5, 2), (4, 1), (6, 3)):
-        for _ in range(5):
-            seq = random_real_sequence(d, 12, int(rng.integers(2**31)))
-            direct = cross_project(seq, d_prime)
-            via = compute_real_coeffs(isotropic_from_sequence(seq), d_prime, 12)
-            worst = max(worst, float(np.max(np.abs(direct.coeffs - via.coeffs))))
-    report(
-        4,
-        "projection d->d' vs reconstruct-then-recompute for (5,2),(4,1),(6,3)",
-        worst <= 1e-9,
-        f"max err {worst:.2e}, tol 1e-9",
-    )
+    report(4)
 
 
 def test_criterion_05_disk_orthogonality():
-    start = time.perf_counter()
-    worst = 0.0
-    for q in (2, 3, 4, 5):
-        rule = disk_quadrature(q, 40, 64)
-        z, w = rule.complex_nodes, rule.weights
-        pairs = [(m, n) for m in range(7) for n in range(7)]
-        table = np.array([disk_poly_eval(m, n, q - 2, z) for m, n in pairs])
-        gram = (table * w) @ table.conj().T
-        target = np.diag([1.0 / h_norm(m, n, q) for m, n in pairs])
-        worst = max(worst, float(np.max(np.abs(gram - target))))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-10 and elapsed < 10.0
-    report(
-        5,
-        "disk orthogonality vs h for q=2..5, all bi-degrees <= 6",
-        ok,
-        f"max err {worst:.2e}, tol 1e-10; {elapsed:.2f}s < 10s",
-    )
+    report(5)
 
 
 def test_criterion_06_disk_recursion_identity():
-    rng = np.random.default_rng(SEED + 3)
-    worst = 0.0
-    for _ in range(1000):
-        q = int(rng.integers(2, 7))
-        m = int(rng.integers(1, 11))
-        n = int(rng.integers(0, 11))
-        z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        lhs = (1.0 - abs(z) ** 2) * disk_poly_eval(m - 1, n, q - 1, z)
-        rhs = (q - 1.0) / (m + n + q - 1.0) * (
-            disk_poly_eval(m - 1, n, q - 2, z) - disk_poly_eval(m, n + 1, q - 2, z)
-        )
-        worst = max(worst, abs(lhs - rhs))
-    report(
-        6,
-        "disk recursion residual at 1000 random (z, m<=10, n<=10, q<=6)",
-        worst <= 1e-12,
-        f"max residual {worst:.2e}, tol 1e-12",
-    )
+    report(6)
 
 
 def test_criterion_07_complex_roundtrip_identity():
-    rng = np.random.default_rng(SEED + 4)
-    worst = 0.0
-    for q in (2, 3, 4, 5):
-        for _ in range(200):
-            degree = int(rng.integers(2, 11))  # max_degree degree + 2 <= 12
-            seq = random_complex_sequence(q, degree, int(rng.integers(2**31)))
-            back = walk_down_complex(walk_up_complex(lift(seq)))
-            worst = max(worst, entry_error(seq, back))
-    report(
-        7,
-        "complex walk roundtrip == identity (800 sequences, q=2..5, M<=12)",
-        worst <= 1e-10,
-        f"max err {worst:.2e}, tol 1e-10",
-    )
+    report(7)
 
 
-@pytest.mark.filterwarnings("ignore::schoenberg.QuadratureResolutionWarning")
 def test_criterion_08_complex_walk_up_agrees_with_quadrature():
-    rng = np.random.default_rng(SEED + 5)
-    worst = 0.0
-    for q in (2, 3):
-        for _ in range(5):
-            seq = random_complex_sequence(q, 6, int(rng.integers(2**31)))
-            walked = walk_up_complex(lift(seq))  # headroom keeps degree 6
-            via = compute_complex_coeffs(
-                disk_from_sequence(seq), q + 1, 6, disk_rule_sized(q + 1, 8)
-            )
-            worst = max(worst, entry_error(walked, via))
-    report(
-        8,
-        "forward complex walk vs quadrature of the reconstruction (q=2,3, M<=8)",
-        worst <= 1e-9,
-        f"max err {worst:.2e}, tol 1e-9",
-    )
+    report(8)
 
 
 def test_criterion_09_mass_conservation_everywhere():
-    rng = np.random.default_rng(SEED + 6)
-    worst = 0.0
-    for d in (1, 2, 3, 4, 5, 6):
-        for _ in range(50):
-            support = int(rng.integers(3, 39))
-            seq = random_real_sequence(d, support, int(rng.integers(2**31)), pad=2)
-            up = walk_up(seq)
-            worst = max(worst, abs(up.total_mass - seq.total_mass))
-            if up.d >= 3:
-                down = walk_down(up, n_out=seq.truncation)
-                worst = max(worst, abs(down.total_mass - seq.total_mass))
-    for q in (2, 3, 4, 5):
-        for _ in range(50):
-            degree = int(rng.integers(2, 11))
-            seq = random_complex_sequence(q, degree, int(rng.integers(2**31)))
-            up = walk_up_complex(lift(seq))
-            worst = max(worst, abs(up.total_mass - seq.total_mass))
-            down = walk_down_complex(up)
-            worst = max(worst, abs(down.total_mass - seq.total_mass))
-    report(
-        9,
-        "every walk conserves total coefficient mass",
-        worst <= 1e-10,
-        f"max drift {worst:.2e}, tol 1e-10",
-    )
+    report(9)
 
 
 def test_criterion_10_spd_diagnostics():
-    # (a) diagonal support: certified violation at modulus 2, residue 1
-    diagonal = ComplexSchoenbergSequence(2, {(1, 1): 0.6, (3, 3): 0.4}, 6)
-    verdict = check_progressions(support_pattern(diagonal), 2)
-    part_a = (2, 1) in verdict.violations and verdict.certified_violation
+    report(10)
 
-    # (b) full support up to M passes every progression with modulus <= M
-    degree = 6
-    pairs = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
-    full = ComplexSchoenbergSequence(
-        2, {p: 1.0 / len(pairs) for p in pairs}, degree
-    )
-    part_b = not check_progressions(support_pattern(full), degree).violations
 
-    # (c) support transfer through the inverse walk, 100 random sparse cases
-    rng = np.random.default_rng(SEED + 7)
-    part_c = True
-    for _ in range(100):
-        q_up = int(rng.integers(3, 7))
-        upper = random_complex_sequence(q_up, 9, int(rng.integers(2**31)))
-        lower = walk_down_complex(upper)
-        candidates = {
-            (m - j, n - j) for (m, n) in upper.entries for j in range(min(m, n) + 1)
-        }
-        for (m, n) in candidates:
-            upstairs = any(
-                upper.get(m + j, n + j) > 0.0 for j in range(upper.max_degree + 1)
-            )
-            if (lower.get(m, n) > 0.0) != upstairs:
-                part_c = False
-    ok = part_a and part_b and part_c
-    report(
-        10,
-        "SPD diagnostics: parity violation, full support pass, support transfer",
-        ok,
-        f"diagonal={part_a}, full={part_b}, transfer={part_c}",
-    )
+def test_registry_names_unique_and_criteria_complete():
+    assert len({check.name for check in CHECKS}) == len(CHECKS)
+    assert sorted(c.criterion for c in CHECKS if c.criterion is not None) == list(range(1, 11))

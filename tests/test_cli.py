@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from schoenberg import RealSchoenbergSequence, random_real_sequence
+from schoenberg import selftest
 from schoenberg.cli import main
 
 
@@ -184,6 +186,24 @@ def test_selftest_deterministic(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert "checks passed" in out_a
+
+
+def test_selftest_negative_seed_exits_1_and_names_seed(capsys):
+    code, _, err = run(capsys, "selftest", "--seed", "-1")
+    assert code == 1
+    assert "seed" in err
+
+
+def test_selftest_crashing_check_fails_and_exits_2(capsys, monkeypatch):
+    def boom(rng, tol):
+        raise RuntimeError("boom")
+
+    broken = dataclasses.replace(selftest.CHECKS[0], body=boom)
+    monkeypatch.setattr(selftest, "CHECKS", (broken, *selftest.CHECKS[1:]))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 2
+    assert f"[FAIL] {broken.name}: raised RuntimeError: boom" in out
+    assert "14/15 checks passed" in out
 
 
 def test_json_floats_roundtrip_exactly(capsys, tmp_path):

@@ -3,12 +3,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from schoenberg import (
-    gegenbauer_at_one,
-    gegenbauer_eval,
-    normalized_gegenbauer,
-    order_for_dimension,
-)
+from schoenberg import normalized_gegenbauer
+from schoenberg.gegenbauer import gegenbauer_at_one, gegenbauer_eval, order_for_dimension
 
 
 def legendre_eval(n, x):

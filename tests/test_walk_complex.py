@@ -6,11 +6,11 @@ from schoenberg import (
     compute_complex_coeffs,
     disk_from_sequence,
     disk_rule_sized,
-    inverse_walk_weights_complex,
     random_complex_sequence,
     walk_down_complex,
     walk_up_complex,
 )
+from schoenberg.walk_complex import inverse_walk_weights_complex
 
 
 def entry_error(a, b) -> float:

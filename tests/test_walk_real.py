@@ -7,7 +7,6 @@ from schoenberg import (
     RealSchoenbergSequence,
     compute_real_coeffs,
     cross_project,
-    inverse_walk_weights,
     isotropic_from_sequence,
     poisson_circle_coeffs,
     random_real_sequence,
@@ -15,6 +14,7 @@ from schoenberg import (
     walk_down,
     walk_up,
 )
+from schoenberg.walk_real import inverse_walk_weights
 
 
 def one_hot(d, n, length):
