@@ -77,7 +77,7 @@ def _cmd_coeffs(args) -> int:
         "seed": args.seed,
     }
     psi = make_isotropic(args.family, **params)
-    rule = interval_rule(args.d, args.nodes) if args.nodes else None
+    rule = interval_rule(args.d, args.nodes) if args.nodes is not None else None
     status = EXIT_OK
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureResolutionWarning)
@@ -93,7 +93,7 @@ def _cmd_ccoeffs(args) -> int:
     params = {"m": args.m, "n": args.n, "q": args.q, "max_degree": args.M, "seed": args.seed}
     phi = make_disk(args.family, **params)
     rule = None
-    if args.nodes:
+    if args.nodes is not None:
         rule = disk_quadrature(args.q, args.nodes, 4 * args.M + 8)
     status = EXIT_OK
     with warnings.catch_warnings(record=True) as caught:
@@ -170,7 +170,7 @@ def _cmd_project(args) -> int:
     def transform(seq):
         if not isinstance(seq, RealSchoenbergSequence):
             raise SequenceFormatError("space", "project expects a real sequence")
-        rule = interval_rule(args.d_prime, args.nodes) if args.nodes else None
+        rule = interval_rule(args.d_prime, args.nodes) if args.nodes is not None else None
         return cross_project(seq, args.d_prime, rule)
 
     return _walk_command(args, transform)

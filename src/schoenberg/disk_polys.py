@@ -158,7 +158,10 @@ def disk_quadrature(q: int, radial_nodes: int, angular_nodes: int) -> Quadrature
     if q < 2:
         raise ValueError("q must be >= 2")
     if radial_nodes < 1 or angular_nodes < 1:
-        raise ValueError("node counts must be positive")
+        raise ValueError(
+            f"need at least one node, got radial_nodes={radial_nodes}, "
+            f"angular_nodes={angular_nodes}"
+        )
     t, radial_weight = gauss_jacobi(radial_nodes, q - 2, 0)
     r = np.sqrt(0.5 * (1.0 + t))  # s = r^2 = (1 + t) / 2
     weights = np.repeat(radial_weight / angular_nodes, angular_nodes)

@@ -1,12 +1,14 @@
 """Gegenbauer (ultraspherical) polynomials and their normalized variants.
 
 The sphere dimension ``d`` enters through the order ``(d - 1) / 2``; the
-``d = 1`` circle case degenerates to the Chebyshev basis ``cos(n * theta)``
-and is routed separately in the evaluators, never through a zero-order
-Gegenbauer recurrence.
+``d = 1`` circle case degenerates to the Chebyshev basis ``cos(n * theta)``.
+The scalar evaluator :func:`normalized_gegenbauer` routes it through the
+cosine, while :func:`normalized_gegenbauer_table` runs the normalized
+recurrence at every d: at order 0 it reads ``c_k = 2 u c_{k-1} - c_{k-2}``,
+the Chebyshev recurrence.
 
 All evaluators run the three-term recurrence forward, which is stable on
-``[-1, 1]`` for positive orders.
+``[-1, 1]`` for nonnegative orders.
 """
 from __future__ import annotations
 
@@ -122,24 +124,26 @@ def _normalized_recurrence(n: int, order: float, u):
 def normalized_gegenbauer_table(n_max: int, d: int, u: np.ndarray) -> np.ndarray:
     """Table of normalized basis values, shape ``(n_max + 1, len(u))``.
 
-    Row n is ``normalized_gegenbauer(n, d, u)``; the d = 1 rows are the
-    cosine basis.
+    Row n is ``normalized_gegenbauer(n, d, u)``. Every d runs the normalized
+    recurrence ``c_k = lead_k u c_{k-1} - drop_k c_{k-2}``; at d = 1 it is
+    the Chebyshev recurrence ``c_k = 2 u c_{k-1} - c_{k-2}``. Rows are
+    filled in place, with no temporary array per row.
     """
     if d < 1:
         raise ValueError("dimension d must be >= 1")
     u = np.atleast_1d(_as_unit_interval(u))
     out = np.empty((n_max + 1, u.size))
-    if d == 1:
-        theta = np.arccos(u)
-        for k in range(n_max + 1):
-            out[k] = np.cos(k * theta)
-        return out
-    order = order_for_dimension(d)
     out[0] = 1.0
     if n_max >= 1:
         out[1] = u
-    for k in range(2, n_max + 1):
-        out[k] = (
-            2.0 * u * (k + order - 1.0) * out[k - 1] - (k - 1.0) * out[k - 2]
-        ) / (k + 2.0 * order - 1.0)
+    order = 0.5 * (d - 1)
+    k = np.arange(2.0, n_max + 1)
+    lead = 2.0 * (k + order - 1.0) / (k + 2.0 * order - 1.0)
+    drop = (k - 1.0) / (k + 2.0 * order - 1.0)
+    scratch = np.empty_like(u)
+    for row, prev, prev2, lead_k, drop_k in zip(out[2:], out[1:], out, lead, drop):
+        np.multiply(prev, u, out=row)
+        row *= lead_k
+        np.multiply(prev2, drop_k, out=scratch)
+        row -= scratch
     return out

@@ -3,7 +3,7 @@
 Every coefficient integral is an integral against a Jacobi weight, so one
 rule family serves them all: :func:`gauss_jacobi` builds the Gauss rule of
 the probability measure proportional to ``(1 - x)^alpha (1 + x)^beta`` on
-``[-1, 1]`` by the Golub-Welsch method.
+``[-1, 1]`` from Golub-Welsch eigenvalues polished by one Newton sweep.
 
 * On S^d the substitution ``u = cos(theta)`` turns the surface measure into
   ``(1 - u^2)^((d-2)/2) du``, so :func:`interval_rule` is the Gauss-Jacobi
@@ -13,9 +13,18 @@ the probability measure proportional to ``(1 - x)^alpha (1 + x)^beta`` on
   ``beta = 0`` in ``s = r^2``, crossed with a uniform angular grid.
 
 Weights sum to 1: the rules integrate against probability measures.
+
+A symmetric rule (``alpha == beta``, every interval rule) is seeded from a
+Jacobi matrix of half the size, in ``y = 2 x^2 - 1``, and mirrored, so its
+nodes are exactly antisymmetric. Rules are cached per process by
+``(n_nodes, alpha, beta)`` and returned as read-only arrays shared by every
+caller: copy one before changing it.
 """
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,45 +73,106 @@ class QuadratureRule:
         return self.nodes[:, 0] + 1j * self.nodes[:, 1]
 
 
+#: Gauss-Jacobi rules kept per process; the least recently used goes first
+RULE_CACHE_SIZE = 32
+
+
 def gauss_jacobi(n_nodes: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes and weights for the weight (1 - x)^alpha (1 + x)^beta.
 
     The weight is normalized to a probability measure on [-1, 1], so the
     weights sum to 1; the rule is exact for polynomials of degree below
-    ``2 * n_nodes``. Nodes are the eigenvalues of the symmetric Jacobi
-    matrix (Golub & Welsch 1969), polished by one Newton step; weights are
-    the Christoffel numbers ``1 / sum_k p_k(x_i)^2`` over the orthonormal
-    polynomials p_0..p_{K-1}.
+    ``2 * n_nodes``. Eigenvalues of a symmetric Jacobi matrix (Golub &
+    Welsch 1969) seed the nodes, and one Newton step on the degree-K
+    orthonormal polynomial polishes them; weights are the Christoffel
+    numbers ``1 / sum_k p_k(x_i)^2`` over p_0..p_{K-1}.
+
+    For ``alpha == beta`` the rule is symmetric and half of it is built:
+    with ``y = 2 x^2 - 1``, the positive nodes of the K-node rule are
+    ``sqrt((1 + y) / 2)`` at the ``K // 2`` Gauss nodes y of
+    ``(1 - y)^alpha (1 + y)^(-1/2)`` for even K, and of
+    ``(1 - y)^alpha (1 + y)^(1/2)`` plus the node 0 for odd K. The Jacobi
+    matrix is half the size, the sweep runs over the nonnegative nodes
+    only, and the result is mirrored: the nodes are exactly antisymmetric.
+
+    Rules are cached per process (the last ``RULE_CACHE_SIZE`` argument
+    triples), so a repeated call returns the same two arrays. They are
+    read-only: copy them before changing them.
     """
-    if n_nodes < 1:
-        raise ValueError("need at least one node")
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ValueError("Jacobi parameters must exceed -1")
-    a, b = float(alpha), float(beta)
-    s = 2.0 * np.arange(1, n_nodes) + a + b
-    diag = np.empty(n_nodes)
+    try:
+        n = operator.index(n_nodes)
+    except TypeError:
+        raise ValueError(f"n_nodes must be an integer, got {n_nodes!r}") from None
+    if n < 1:
+        raise ValueError(f"need at least one node, got n_nodes={n}")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > -1.0):
+            raise ValueError(f"{name} must be finite and exceed -1, got {name}={value!r}")
+    return _gauss_jacobi(n, float(alpha), float(beta))
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _gauss_jacobi(n: int, a: float, b: float):
+    symmetric = a == b
+    if symmetric:
+        half, odd = divmod(n, 2)
+        y = _jacobi_eigenvalues(half, a, 0.5 if odd else -0.5)
+        x = np.concatenate((np.zeros(odd), np.sqrt(0.5 * (1.0 + y))))
+    else:
+        x = _jacobi_eigenvalues(n, a, b)
+    diag, off = _jacobi_matrix(n, a, b)
+    x, w = _newton_christoffel(x, diag, off, f"n_nodes={n}, alpha={a}, beta={b}")
+    if symmetric:
+        x = np.concatenate((-x[odd:][::-1], x))
+        w = np.concatenate((w[odd:][::-1], w))
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _jacobi_matrix(n: int, a: float, b: float):
+    """Diagonal and off-diagonal of the order-n Jacobi matrix of (a, b).
+
+    ``off[k]`` couples degrees k and k + 1, so ``off[n - 1]`` lies outside
+    the matrix; the recurrence needs it for p_n.
+    """
+    s = 2.0 * np.arange(1, n) + a + b
+    diag = np.empty(n)
     diag[0] = (b - a) / (a + b + 2.0)
     diag[1:] = (b * b - a * a) / (s * (s + 2.0))
-    # off[k] couples degrees k and k + 1; off[0] is the general formula with
-    # its factor (a + b + 1) cancelled, which is 0 / 0 for Chebyshev
-    j = np.arange(2.0, n_nodes + 1)
+    # off[0] is the general formula with its factor (a + b + 1) cancelled,
+    # which is 0 / 0 for Chebyshev
+    j = np.arange(2.0, n + 1)
     t = 2.0 * j + a + b
-    off_sq = np.empty(n_nodes)
+    off_sq = np.empty(n)
     off_sq[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
     off_sq[1:] = 4.0 * j * (j + a) * (j + b) * (j + a + b) / (t * t * (t + 1.0) * (t - 1.0))
-    off = np.sqrt(off_sq)
+    return diag, np.sqrt(off_sq)
+
+
+def _jacobi_eigenvalues(n: int, a: float, b: float) -> np.ndarray:
+    """Gauss-Jacobi nodes of order n as eigenvalues, ascending, unpolished."""
+    if n == 0:
+        return np.empty(0)
+    diag, off = _jacobi_matrix(n, a, b)
     jacobi = np.diag(diag)
-    jacobi.flat[n_nodes :: n_nodes + 1] = off[:-1]  # subdiagonal: only "L" is read
-    x = np.linalg.eigvalsh(jacobi, UPLO="L")
-    # one sweep of the orthonormal recurrence gives p_K, the Christoffel sum
-    # S = sum_{k<K} p_k^2 and their derivatives (dtotal = S' / 2) at the
-    # eigenvalues; a Newton step on p_K polishes the nodes, and S follows
-    # them to first order
+    jacobi.flat[n :: n + 1] = off[:-1]  # subdiagonal: only "L" is read
+    return np.linalg.eigvalsh(jacobi, UPLO="L")
+
+
+def _newton_christoffel(x, diag, off, label):
+    """Newton-polished nodes and Christoffel weights near the seeds ``x``.
+
+    One sweep of the orthonormal recurrence gives p_K, the Christoffel sum
+    S = sum_{k<K} p_k^2 and their derivatives (dtotal = S' / 2) at x; a
+    Newton step on p_K polishes the nodes, and S follows them to first
+    order.
+    """
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
     total, dtotal = np.zeros_like(x), np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_nodes):
+        for k in range(len(diag)):
             total += p * p
             dtotal += p * dp
             shifted, b_prev = x - diag[k], off[k - 1] if k else 0.0
@@ -114,8 +184,7 @@ def gauss_jacobi(n_nodes: int, alpha: float, beta: float):
     # normal double range (large alpha or beta puts nodes deep in the tails)
     if not all(np.isfinite(v).all() for v in (total, dtotal, step)):
         raise ValueError(
-            f"gauss_jacobi(n_nodes={n_nodes}, alpha={alpha}, beta={beta}): the "
-            "Christoffel sums overflow double precision"
+            f"gauss_jacobi({label}): the Christoffel sums overflow double precision"
         )
     return x - step, 1.0 / (total - 2.0 * step * dtotal)
 

@@ -212,3 +212,17 @@ def test_json_floats_roundtrip_exactly(capsys, tmp_path):
     seq.save(src)
     dumped = json.loads(src.read_text())["coeffs"]
     assert dumped == [float(c) for c in seq.coeffs]
+
+
+def test_zero_nodes_exits_1(capsys, tmp_path):
+    src = tmp_path / "seq.json"
+    random_real_sequence(4, 8, seed=1).save(src)
+    for argv in (
+        ("coeffs", "--family", "poisson", "--r", "0.5", "--d", "3", "--N", "8"),
+        ("ccoeffs", "--family", "disk-monomial", "--m", "1", "--n", "1", "--q", "3", "--M", "4"),
+        ("project", "--in", str(src), "--d-prime", "2"),
+    ):
+        code, _, err = run(capsys, *argv, "--nodes", "0", "--out", str(tmp_path / "o.json"))
+        assert code == 1, argv
+        assert "need at least one node" in err
+        assert not (tmp_path / "o.json").exists()

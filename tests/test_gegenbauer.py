@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from schoenberg import normalized_gegenbauer
-from schoenberg.gegenbauer import gegenbauer_at_one, gegenbauer_eval, order_for_dimension
+from schoenberg import interval_rule, normalized_gegenbauer
+from schoenberg.gegenbauer import (
+    gegenbauer_at_one,
+    gegenbauer_eval,
+    normalized_gegenbauer_table,
+    order_for_dimension,
+)
 
 
 def legendre_eval(n, x):
@@ -95,6 +100,21 @@ def test_three_term_recurrence_residual(n, order, u):
     residual = n * c2 - 2.0 * u * (n + order - 1.0) * c1 + (n + 2.0 * order - 2.0) * c0
     scale = max(abs(n * c2), abs(2.0 * u * (n + order - 1.0) * c1), 1.0)
     assert abs(residual) / scale <= 1e-12
+
+
+def test_table_rows_match_scalar_evaluator():
+    # the table runs one recurrence at every d, Chebyshev at d = 1, where the
+    # scalar evaluator takes the cosine path instead
+    n_max = 512
+    for d in (1, 2, 3, 5, 40):
+        u = np.concatenate((np.linspace(-1.0, 1.0, 201), interval_rule(d, 160).nodes))
+        table = normalized_gegenbauer_table(n_max, d, u)
+        assert table.shape == (n_max + 1, u.size)
+        # every row at d = 1; elsewhere a spread of rows, since the scalar
+        # oracle costs O(n) per row there
+        rows = range(n_max + 1) if d == 1 else [*range(12), *range(64, n_max + 1, 56)]
+        for n in rows:
+            assert np.max(np.abs(table[n] - normalized_gegenbauer(n, d, u))) <= 1e-12, (d, n)
 
 
 def test_boundary_clamping_tolerates_roundoff():

@@ -80,3 +80,83 @@ def test_complex_nodes_only_for_disk_rules():
         _ = interval_rule(2, 8).complex_nodes
     rule = disk_quadrature(3, 8, 8)
     assert rule.complex_nodes.shape == (64,)
+
+
+def golub_welsch(n_nodes, alpha, beta):
+    """Nodes and weights from eigenvectors of the full Jacobi matrix.
+
+    The eigenvalues are the nodes and the squared first eigenvector
+    components the weights (Golub & Welsch 1969), with no recurrence sweep.
+    """
+    a, b = alpha, beta
+    k = np.arange(1, n_nodes, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))))
+    # the k = 1 entry has its factor (a + b + 1) cancelled, so Chebyshev
+    # (a + b + 1 = 0) needs no limit
+    first = 4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+    k, s = k[1:], s[1:]
+    rest = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    off = np.sqrt(np.concatenate(([first], rest)))[: n_nodes - 1]
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2
+
+
+def test_gauss_jacobi_matches_golub_welsch_eigenvectors():
+    # eigenvector components carry more rounding than the Christoffel sums:
+    # on the Chebyshev rule, whose weights are exactly 1 / K, the oracle's
+    # weights are off by 3.6e-14 at K = 1056, hence the looser weight bound
+    for alpha, beta in ((-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (24.0, 24.0), (98.0, 0.0)):
+        for n_nodes in (1, 2, 3, 7, 160, 161, 1056):
+            x, w = gauss_jacobi(n_nodes, alpha, beta)
+            x_ref, w_ref = golub_welsch(n_nodes, alpha, beta)
+            assert np.max(np.abs(x - x_ref)) <= 1e-14, (n_nodes, alpha, beta)
+            assert np.max(np.abs(w - w_ref)) <= 5e-14, (n_nodes, alpha, beta)
+
+
+def test_chebyshev_rule_matches_closed_form():
+    # nodes cos((2i - 1) pi / 2K) and weights 1 / K, up to the largest K the
+    # builder is gated at
+    for n_nodes in (1, 2, 3, 160, 161, 1056, 4032):
+        x, w = gauss_jacobi(n_nodes, -0.5, -0.5)
+        i = np.arange(n_nodes, 0, -1)
+        assert np.max(np.abs(x - np.cos((2 * i - 1) * np.pi / (2 * n_nodes)))) <= 1e-14
+        assert np.max(np.abs(w - 1.0 / n_nodes)) <= 1e-14
+
+
+def test_interval_rule_nodes_mirror_exactly():
+    for d in (1, 2, 3, 5, 50):
+        for n_nodes in (1, 2, 7, 8, 160, 161):
+            rule = interval_rule(d, n_nodes)
+            assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+            assert np.array_equal(rule.weights, rule.weights[::-1])
+            if n_nodes % 2:
+                middle = rule.nodes[n_nodes // 2]
+                assert middle == 0.0 and not np.signbit(middle)
+
+
+def test_gauss_jacobi_rules_are_cached_and_read_only():
+    x, w = gauss_jacobi(12, 0.5, 0.5)
+    for array in (x, w):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    again = gauss_jacobi(12, 0.5, 0.5)
+    assert again[0] is x and again[1] is w
+    rule = interval_rule(3, 12)
+    assert rule.nodes is x and rule.weights is w
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+
+
+def test_gauss_jacobi_rejects_bad_arguments_before_the_cache():
+    with pytest.raises(ValueError, match="beta=inf"):
+        gauss_jacobi(4, 0, math.inf)
+    with pytest.raises(ValueError, match="alpha=nan"):
+        gauss_jacobi(4, math.nan, 0)
+    with pytest.raises(ValueError, match="need at least one node"):
+        gauss_jacobi(0, 0.0, 0.0)
+    # 8 and 8.0 hash alike, so a cached 8-node rule must not let 8.0 through
+    interval_rule(3, 8)
+    with pytest.raises(ValueError, match="n_nodes must be an integer, got 8.0"):
+        interval_rule(3, 8.0)
+    assert len(gauss_jacobi(np.int64(8), 0.5, 0.5)[0]) == 8
