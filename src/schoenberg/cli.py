@@ -109,6 +109,8 @@ def _cmd_ccoeffs(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     seq = _load(getattr(args, "in"))
     if isinstance(seq, RealSchoenbergSequence):
         theta = np.linspace(0.0, np.pi, args.grid)
@@ -132,9 +134,27 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _walk_command(args, transform) -> int:
+# command -> (expected input class, transform of (sequence, args))
+_WALKS = {
+    "walk-up": (RealSchoenbergSequence, lambda seq, args: walk_up(seq)),
+    "walk-down": (RealSchoenbergSequence, lambda seq, args: walk_down(
+        seq, n_out=args.N_out, tail_tol=args.tail_tol)),
+    "project": (RealSchoenbergSequence, lambda seq, args: cross_project(
+        seq, args.d_prime,
+        interval_rule(args.d_prime, args.nodes) if args.nodes is not None else None)),
+    "cwalk-up": (ComplexSchoenbergSequence, lambda seq, args: walk_up_complex(seq)),
+    "cwalk-down": (ComplexSchoenbergSequence, lambda seq, args: walk_down_complex(
+        seq, tail_tol=args.tail_tol)),
+}
+
+
+def _cmd_walk(args) -> int:
+    kind, transform = _WALKS[args.command]
     seq = _load(getattr(args, "in"))
-    result = transform(seq)
+    if not isinstance(seq, kind):
+        space = "real" if kind is RealSchoenbergSequence else "complex"
+        raise SequenceFormatError("space", f"{args.command} expects a {space} sequence")
+    result = transform(seq, args)
     if not result.valid_mass:
         _note("note: output fails the mass/negativity checks; flagged valid_mass=false")
     if result.tail_bound > 0.0:
@@ -146,52 +166,6 @@ def _walk_command(args, transform) -> int:
         )
     _write_json(result.to_dict(), args.out)
     return EXIT_OK
-
-
-def _cmd_walk_up(args) -> int:
-    def transform(seq):
-        if not isinstance(seq, RealSchoenbergSequence):
-            raise SequenceFormatError("space", "walk-up expects a real sequence")
-        return walk_up(seq)
-
-    return _walk_command(args, transform)
-
-
-def _cmd_walk_down(args) -> int:
-    def transform(seq):
-        if not isinstance(seq, RealSchoenbergSequence):
-            raise SequenceFormatError("space", "walk-down expects a real sequence")
-        return walk_down(seq, n_out=args.N_out, tail_tol=args.tail_tol)
-
-    return _walk_command(args, transform)
-
-
-def _cmd_project(args) -> int:
-    def transform(seq):
-        if not isinstance(seq, RealSchoenbergSequence):
-            raise SequenceFormatError("space", "project expects a real sequence")
-        rule = interval_rule(args.d_prime, args.nodes) if args.nodes is not None else None
-        return cross_project(seq, args.d_prime, rule)
-
-    return _walk_command(args, transform)
-
-
-def _cmd_cwalk_up(args) -> int:
-    def transform(seq):
-        if not isinstance(seq, ComplexSchoenbergSequence):
-            raise SequenceFormatError("space", "cwalk-up expects a complex sequence")
-        return walk_up_complex(seq)
-
-    return _walk_command(args, transform)
-
-
-def _cmd_cwalk_down(args) -> int:
-    def transform(seq):
-        if not isinstance(seq, ComplexSchoenbergSequence):
-            raise SequenceFormatError("space", "cwalk-down expects a complex sequence")
-        return walk_down_complex(seq, tail_tol=args.tail_tol)
-
-    return _walk_command(args, transform)
 
 
 def _cmd_spd_check(args) -> int:
@@ -266,32 +240,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk-up", help="real sequence d -> d + 2")
     p.add_argument("--in", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_walk_up)
+    p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("walk-down", help="real sequence d + 2 -> d")
     p.add_argument("--in", required=True)
     p.add_argument("--N-out", dest="N_out", type=int, default=None)
     p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_walk_down)
+    p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("project", help="real sequence d -> d' for any d' < d")
     p.add_argument("--in", required=True)
     p.add_argument("--d-prime", dest="d_prime", type=int, required=True)
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_project)
+    p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("cwalk-up", help="complex sequence q -> q + 1")
     p.add_argument("--in", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_cwalk_up)
+    p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("cwalk-down", help="complex sequence q + 1 -> q")
     p.add_argument("--in", required=True)
     p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_cwalk_down)
+    p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("spd-check", help="strict positive definiteness diagnostics")
     p.add_argument("--in", required=True)

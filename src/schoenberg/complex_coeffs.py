@@ -18,15 +18,17 @@ the diagonal l and the radial factor only on (k, |l|):
 * ``compute_complex_coeffs`` reshapes the samples of the R x A rule to
   radius x angle. For each pair of diagonals +-|l| it sums the samples
   against e^{-ilt} over the uniform angles, which gives mode l at every
-  radius; one Jacobi recurrence over the R radii then gives every k on
-  those two diagonals. The angular sums cost O(R A M) and the recurrences O(M^2 R) for
-  max degree M; with the default A = 4M + 8 the whole is O(M^2 R), against
-  O(M^5) for evaluating every R_{m,n} at every node. (``np.fft`` would
-  bring the angular part to O(R A log A), but it adds close to 1 MB of
-  peak memory on first use, for a part that is not the bottleneck.)
-* ``reconstruct_complex`` groups the entries by diagonal and runs one
-  Jacobi recurrence per diagonal over the points, adding c_k p_k as it
-  goes, so it needs O(P) memory for P points.
+  radius; one normalized Jacobi table over the R radii then gives every k
+  on those two diagonals, in one broadcast product. The angular sums cost
+  O(R A M) and the tables O(M^2 R) for max degree M; with the default
+  A = 4M + 8 the whole is O(M^2 R), against O(M^5) for evaluating every
+  R_{m,n} at every node. (``np.fft`` would bring the angular part to
+  O(R A log A), but it adds close to 1 MB of peak memory on first use,
+  for a part that is not the bottleneck.)
+* ``reconstruct_complex`` groups the entries by diagonal into dense
+  coefficient vectors and contracts each with its diagonal's Jacobi table
+  over the points, so it needs O((M/2) P) memory for P points, the same
+  order as the real ``reconstruct``.
 """
 from __future__ import annotations
 
@@ -34,14 +36,8 @@ import warnings
 
 import numpy as np
 
-from .disk_polys import (
-    _angular,
-    _disk_points,
-    _polar_nodes,
-    _radial_sweep,
-    disk_rule_sized,
-    h_norm,
-)
+from .disk_polys import _angular, _disk_points, _polar_nodes, disk_rule_sized, h_norm
+from .gegenbauer import _jacobi_table
 from .quadrature import QuadratureResolutionWarning, QuadratureRule, _finite_samples
 from .sequences import ComplexSchoenbergSequence
 
@@ -111,11 +107,14 @@ def compute_complex_coeffs(
         modes = (samples * np.exp(-2j * np.pi / angles * turns)[:, None, :]).sum(axis=-1)
         # one row per diagonal l = +-size: w_i r_i^|l| times mode l at r_i
         projected = weights * radii**size * modes
-        sweep = _radial_sweep((max_degree - size) // 2, q - 2, size, radii**2)
-        for k, radial in enumerate(sweep):
-            for ell, inner in zip(diagonals, (projected * radial).sum(axis=1)):
+        radial = _jacobi_table((max_degree - size) // 2, q - 2, size, 2.0 * radii**2 - 1.0)
+        # elementwise, not a complex matmul, which would load the complex BLAS
+        # kernels and add about 0.4 MB of peak memory
+        inner = (projected[:, None, :] * radial).sum(axis=-1)
+        for k, column in enumerate(inner.T):
+            for ell, value in zip(diagonals, column):
                 m, n = k + max(ell, 0), k + max(-ell, 0)
-                a = h_norm(m, n, q) * inner
+                a = h_norm(m, n, q) * value
                 max_imag = max(max_imag, abs(float(a.imag)))
                 abs_mass += abs(float(a.real))
                 entries[(m, n)] = float(a.real)
@@ -130,7 +129,12 @@ def compute_complex_coeffs(
 
 
 def reconstruct_complex(seq: ComplexSchoenbergSequence, z):
-    """Evaluate the truncated disk expansion of ``seq`` at point(s) z."""
+    """Evaluate the truncated disk expansion of ``seq`` at point(s) z.
+
+    Each diagonal's coefficients, zero-filled to a dense vector, contract
+    with that diagonal's radial table, so memory is O((M/2) P) for max
+    degree M and P points.
+    """
     scalar = np.ndim(z) == 0
     z, radius_sq = _disk_points(np.atleast_1d(z))
     by_diagonal = {}
@@ -138,9 +142,8 @@ def reconstruct_complex(seq: ComplexSchoenbergSequence, z):
         by_diagonal.setdefault(m - n, {})[min(m, n)] = a
     out = np.zeros_like(z)
     for ell, column in by_diagonal.items():
-        radial_sum = np.zeros_like(radius_sq)
-        for k, radial in enumerate(_radial_sweep(max(column), seq.q - 2, ell, radius_sq)):
-            if k in column:
-                radial_sum += column[k] * radial
-        out += radial_sum * _angular(ell, z)
+        dense = np.zeros(max(column) + 1)
+        dense[list(column)] = list(column.values())
+        radial = _jacobi_table(len(dense) - 1, seq.q - 2, abs(ell), 2.0 * radius_sq - 1.0)
+        out += (dense @ radial) * _angular(ell, z)
     return complex(out[0]) if scalar else out

@@ -22,11 +22,12 @@ recursion
                                        - R^{(q-2)}_{m,n+1}(z)).
 
 R_{m,n} separates into a radial factor that depends only on (k, |m - n|)
-and an angular factor that depends only on the diagonal l = m - n. One
-Jacobi recurrence, ``_jacobi_sweep``, serves ``jacobi_eval``,
-``disk_poly_eval`` and the transforms in ``complex_coeffs``, which walk
-each diagonal's radial factors p_0, p_1, ... in one pass instead of
-evaluating every R_{m,n} from scratch.
+and an angular factor that depends only on the diagonal l = m - n. The
+radial factors p_0, p_1, ... of one diagonal are the rows of
+``gegenbauer._jacobi_table``, the normalized recurrence that also builds
+the real-sphere basis. It serves ``jacobi_eval``, ``disk_poly_eval`` and
+the transforms in ``complex_coeffs``, which take a whole diagonal's table
+at once instead of evaluating every R_{m,n} from scratch.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from math import comb, pi
 
 import numpy as np
 
+from .gegenbauer import _jacobi_table
 from .quadrature import QuadratureRule, gauss_jacobi
 
 __all__ = [
@@ -49,36 +51,17 @@ __all__ = [
 DISK_BOUNDARY_TOL = 1e-12
 
 
-def _jacobi_sweep(k_max: int, a: float, b: float, x: np.ndarray):
-    """Yield the Jacobi polynomials P_0 .. P_k_max with parameters (a, b) at x.
-
-    Standard scaling, by the three-term recurrence in its usual handbook form.
-    """
-    p_prev = np.ones_like(x)
-    yield p_prev
-    if k_max == 0:
-        return
-    p_cur = 0.5 * (a - b + (a + b + 2.0) * x)
-    yield p_cur
-    for m in range(2, k_max + 1):
-        c1 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
-        c2 = (2.0 * m + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b)
-        c4 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b)
-        p_prev, p_cur = p_cur, ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
-        yield p_cur
-
-
 def jacobi_eval(k: int, a: float, b: float, x):
-    """Degree-k Jacobi polynomial with parameters (a, b), standard scaling.
+    """Degree-k Jacobi polynomial with parameters (a, b) > -1, standard scaling.
 
-    Three-term recurrence from the usual handbook form; x may be an array.
+    ``jacobi_at_one(k, a)`` times the last row of the normalized table;
+    x may be an array.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    for p in _jacobi_sweep(k, a, b, np.asarray(x, dtype=float)):
-        pass
-    return p
+    if not (a > -1.0 and b > -1.0):
+        raise ValueError(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+    return jacobi_at_one(k, a) * _jacobi_table(k, a, b, x)[-1]
 
 
 def jacobi_at_one(k: int, a: float) -> float:
@@ -87,17 +70,6 @@ def jacobi_at_one(k: int, a: float) -> float:
     for i in range(1, k + 1):
         value *= (a + i) / i
     return value
-
-
-def _radial_sweep(k_max: int, alpha: int, ell: int, s):
-    """Yield the radial factors p_0(2s - 1) .. p_k_max(2s - 1) of one diagonal.
-
-    These are the Jacobi polynomials with parameters (alpha, |ell|) scaled to
-    p_k(1) = 1, so on the diagonal m - n = ell the disk polynomial with
-    k = min(m, n) is ``p_k(2 |z|^2 - 1) * _angular(ell, z)``.
-    """
-    for k, p in enumerate(_jacobi_sweep(k_max, alpha, abs(ell), 2.0 * s - 1.0)):
-        yield p / jacobi_at_one(k, alpha)
 
 
 def _angular(ell: int, z):
@@ -130,8 +102,7 @@ def disk_poly_eval(m: int, n: int, alpha: int, z):
         raise ValueError("m, n and alpha must all be nonnegative")
     scalar = np.ndim(z) == 0
     z, radius_sq = _disk_points(z)
-    for radial in _radial_sweep(min(m, n), alpha, m - n, radius_sq):
-        pass
+    radial = _jacobi_table(min(m, n), alpha, abs(m - n), 2.0 * radius_sq - 1.0)[-1]
     out = radial * _angular(m - n, z)
     return complex(out) if scalar else out
 

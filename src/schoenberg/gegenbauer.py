@@ -7,6 +7,11 @@ cosine, while :func:`normalized_gegenbauer_table` runs the normalized
 recurrence at every d: at order 0 it reads ``c_k = 2 u c_{k-1} - c_{k-2}``,
 the Chebyshev recurrence.
 
+The table is the a = b = (d - 2) / 2 case of ``_jacobi_table``, the one
+recurrence for Jacobi polynomials normalized to 1 at 1; the disk radial
+factors are its a = q - 2, b = |m - n| case. The scalar evaluators are
+kept apart from it as independent references.
+
 All evaluators run the three-term recurrence forward, which is stable on
 ``[-1, 1]`` for nonnegative orders.
 """
@@ -124,26 +129,61 @@ def _normalized_recurrence(n: int, order: float, u):
 def normalized_gegenbauer_table(n_max: int, d: int, u: np.ndarray) -> np.ndarray:
     """Table of normalized basis values, shape ``(n_max + 1, len(u))``.
 
-    Row n is ``normalized_gegenbauer(n, d, u)``. Every d runs the normalized
-    recurrence ``c_k = lead_k u c_{k-1} - drop_k c_{k-2}``; at d = 1 it is
-    the Chebyshev recurrence ``c_k = 2 u c_{k-1} - c_{k-2}``. Rows are
-    filled in place, with no temporary array per row.
+    Row n is ``normalized_gegenbauer(n, d, u)``, from the Jacobi table at
+    a = b = (d - 2) / 2; at d = 1 that is the Chebyshev recurrence.
     """
     if d < 1:
         raise ValueError("dimension d must be >= 1")
     u = np.atleast_1d(_as_unit_interval(u))
-    out = np.empty((n_max + 1, u.size))
+    a = 0.5 * (d - 2)
+    return _jacobi_table(n_max, a, a, u)
+
+
+def _jacobi_table(k_max: int, a: float, b: float, x) -> np.ndarray:
+    """Rows P_k^(a,b)(x) / P_k^(a,b)(1), k = 0..k_max; shape ``(k_max + 1, *x.shape)``.
+
+    The handbook recurrence rescaled to p_k(1) = 1: with t = 2k + a + b,
+
+        den_k p_k = ((t-2)(t-1)t x + (t-1)(a-b)(a+b)) p_{k-1} - 2(k-1)(k+b-1)t p_{k-2},
+        den_k = 2 (k+a+b)(t-2)(k+a),
+
+    whose products are exact for integer and half-integer a, b; p_1 is
+    ((a+b+2) x + a - b) / (2a + 2). For a = b the middle term is 0, p_1 = x
+    and rows are lead_k x p_{k-1} - drop_k p_{k-2} with lead_k = (t-1) / (k+2a)
+    and drop_k = (k-1) / (k+2a), the Gegenbauer coefficients of order a + 1/2.
+    Otherwise the division comes last: at (a, b) = (0, 24) the quotients
+    reach about 7 with opposite signs, and rounding them first moves p_16(1)
+    by up to 1.9e-14. Rows are filled in place. Needs a, b > -1.
+    """
+    x = np.asarray(x, dtype=float)
+    shape = (k_max + 1, *x.shape)
+    x = x.ravel()
+    out = np.empty((k_max + 1, x.size))
     out[0] = 1.0
-    if n_max >= 1:
-        out[1] = u
-    order = 0.5 * (d - 1)
-    k = np.arange(2.0, n_max + 1)
-    lead = 2.0 * (k + order - 1.0) / (k + 2.0 * order - 1.0)
-    drop = (k - 1.0) / (k + 2.0 * order - 1.0)
-    scratch = np.empty_like(u)
-    for row, prev, prev2, lead_k, drop_k in zip(out[2:], out[1:], out, lead, drop):
-        np.multiply(prev, u, out=row)
-        row *= lead_k
-        np.multiply(prev2, drop_k, out=scratch)
-        row -= scratch
-    return out
+    if k_max >= 1:
+        out[1] = x if a == b else ((a + b + 2.0) * x + (a - b)) / (2.0 * a + 2.0)
+    k = np.arange(2.0, k_max + 1)
+    t = 2.0 * k + a + b
+    scratch = np.empty_like(x)
+    if a == b:
+        lead, drop = (t - 1.0) / (k + a + b), (k - 1.0) / (k + a + b)
+        for row, prev, prev2, lead_k, drop_k in zip(out[2:], out[1:], out, lead, drop):
+            np.multiply(prev, x, out=row)
+            row *= lead_k
+            np.multiply(prev2, drop_k, out=scratch)
+            row -= scratch
+    else:
+        c3 = (t - 2.0) * (t - 1.0) * t
+        c2 = (t - 1.0) * (a - b) * (a + b)
+        c4 = 2.0 * (k - 1.0) * (k + b - 1.0) * t
+        den = 2.0 * (k + a + b) * (t - 2.0) * (k + a)
+        for row, prev, prev2, c3_k, c2_k, c4_k, den_k in zip(
+            out[2:], out[1:], out, c3, c2, c4, den
+        ):
+            np.multiply(x, c3_k, out=row)
+            row += c2_k
+            row *= prev
+            np.multiply(prev2, c4_k, out=scratch)
+            row -= scratch
+            row /= den_k
+    return out.reshape(shape)

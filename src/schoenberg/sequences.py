@@ -245,7 +245,9 @@ class ComplexSchoenbergSequence:
             if (
                 not isinstance(triple, (list, tuple))
                 or len(triple) != 3
-                or not all(isinstance(x, (int, float)) for x in triple)
+                or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in triple
+                )
             ):
                 raise SequenceFormatError(
                     "entries", f"item {i} is not an [m, n, value] triple"

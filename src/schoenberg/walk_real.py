@@ -108,9 +108,10 @@ def walk_down(
         raise ValueError(f"n_out must be nonnegative, got {n_out}")
     if not tail_tol >= 0.0:
         raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
-    b = seq.coeffs
-    lead, drop = _bands(seq.d - 2, n_in + 1)
-    out = np.zeros(max(n_in, n_out) + 3)
+    # over Python floats: indexing numpy arrays one element at a time costs twice as much
+    b = seq.coeffs.tolist()
+    lead, drop = (band.tolist() for band in _bands(seq.d - 2, n_in + 1))
+    out = [0.0] * (max(n_in, n_out) + 3)
     for n in range(n_in, -1, -1):
         out[n] = (b[n] + drop[n] * out[n + 2]) / lead[n]
     boundary = float(np.max(np.abs(b[-2:])))

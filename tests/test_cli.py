@@ -147,6 +147,26 @@ def test_malformed_json_exits_1_and_names_field(capsys, tmp_path):
     assert "coeffs" in err
 
 
+def test_boolean_complex_entry_exits_1(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"space": "complex", "q": 2, "max_degree": 2, '
+        '"entries": [[true, 0, 0.5]], "valid_mass": true}'
+    )
+    code, _, err = run(capsys, "cwalk-up", "--in", str(bad))
+    assert code == 1
+    assert "entries" in err and "item 0" in err
+
+
+@pytest.mark.parametrize("grid", ["-1", "0"])
+def test_reconstruct_grid_below_one_exits_1(capsys, tmp_path, grid):
+    src = tmp_path / "seq.json"
+    RealSchoenbergSequence(2, np.array([0.0, 1.0])).save(src)
+    code, out, err = run(capsys, "reconstruct", "--in", str(src), "--grid", grid)
+    assert code == 1 and out == ""
+    assert "--grid" in err
+
+
 def test_walk_down_negative_n_out_exits_1(capsys, tmp_path):
     src = tmp_path / "seq.json"
     random_real_sequence(4, 8, seed=1).save(src)

@@ -26,6 +26,12 @@ def test_jacobi_low_degrees():
     assert jacobi_at_one(3, 2.0) == pytest.approx(10.0)  # C(5, 3)
 
 
+def test_jacobi_eval_rejects_parameters_at_or_below_minus_one():
+    for a, b, name in ((-1.0, 0.0, "a=-1.0"), (0.0, -1.5, "b=-1.5")):
+        with pytest.raises(ValueError, match=name):
+            jacobi_eval(2, a, b, 0.5)
+
+
 def test_jacobi_legendre_special_case():
     x = np.linspace(-1.0, 1.0, 33)
     p2 = jacobi_eval(2, 0.0, 0.0, x)

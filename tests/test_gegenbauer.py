@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from schoenberg import interval_rule, normalized_gegenbauer
 from schoenberg.gegenbauer import (
+    _jacobi_table,
     gegenbauer_at_one,
     gegenbauer_eval,
     normalized_gegenbauer_table,
@@ -150,3 +153,56 @@ def test_reentrant_under_threads():
         parallel = list(pool.map(lambda nd: normalized_gegenbauer(*nd, u), jobs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
+
+
+def normalized_jacobi_exact(k, a, b, x):
+    """P_k^(a,b)(x) / P_k^(a,b)(1) = 2F1(-k, k + a + b + 1; a + 1; (1 - x) / 2).
+
+    The terminating sum in Horner form over unreduced integer fractions,
+    rounded once at the end. a and b are integers or half-integers, and x
+    is rational.
+    """
+    two_a, two_b = int(2 * a), int(2 * b)
+    assert (two_a, two_b) == (2 * a, 2 * b)
+    t = (1 - Fraction(x)) / 2
+    num = den = 1
+    for j in range(k - 1, -1, -1):
+        # term j+1 over term j: (j - k)(k + a + b + 1 + j) t / ((a + 1 + j)(j + 1))
+        ratio_num = (j - k) * (2 * k + two_a + two_b + 2 + 2 * j) * t.numerator
+        ratio_den = (two_a + 2 + 2 * j) * (j + 1) * t.denominator
+        num, den = den * ratio_den + ratio_num * num, den * ratio_den
+    return num / den
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (0.0, 5.0), (3.0, 32.0), (98.0, 2.0)],
+)
+def test_jacobi_table_matches_exact_hypergeometric_sum(a, b):
+    # dyadic x are exact doubles; with a != b (the disk radial factors,
+    # b = |l|) rows are weighted by r^|l| = s^(b/2), s = (1 + x) / 2, as the
+    # disk polynomial weights them, since unweighted they grow like C(k+b, k)
+    # toward x = -1
+    xs = [Fraction(j, 32) - 1 for j in range(65)]
+    x = np.array([float(v) for v in xs])
+    table = _jacobi_table(16, a, b, x)
+    weight = (0.5 * (1.0 + x)) ** (0.5 * b) if a != b else np.ones_like(x)
+    for k in range(17):
+        exact = [normalized_jacobi_exact(k, a, b, v) for v in xs]
+        error = np.abs(table[k] - np.array(exact)) * weight
+        assert np.max(error) <= 1e-14, (k, np.max(error))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 20, 100])
+def test_disk_radial_rows_match_exact_sum_on_every_diagonal(q):
+    # the rim x = 1 is where rounded recurrence coefficients drift most: at
+    # (a, b) = (0, 24) they reach about 7 with opposite signs
+    xs = [Fraction(j, 16) - 1 for j in range(33)]
+    x = np.array([float(v) for v in xs])
+    for ell in range(33):
+        table = _jacobi_table(16, q - 2, ell, x)
+        weight = (0.5 * (1.0 + x)) ** (0.5 * ell)
+        for k in range(17):
+            exact = [normalized_jacobi_exact(k, q - 2, ell, v) for v in xs]
+            error = np.abs(table[k] - np.array(exact)) * weight
+            assert np.max(error) <= 1e-14, (ell, k, np.max(error))

@@ -169,3 +169,13 @@ def test_invalid_top_level_document():
         loads_sequence("[1, 2, 3]")
     with pytest.raises(SequenceFormatError):
         loads_sequence('{"space": "quaternion"}')
+
+
+@pytest.mark.parametrize("entry", [[True, 0, 0.5], [0, False, 0.5], [0, 0, True]])
+def test_complex_entries_reject_booleans(entry):
+    # JSON true/false are not numbers, as in the real format's coeffs
+    data = json.loads(ComplexSchoenbergSequence(2, {(0, 0): 0.5}, 2).dumps())
+    data["entries"].append(entry)
+    with pytest.raises(SequenceFormatError, match="item 1") as err:
+        loads_sequence(json.dumps(data))
+    assert err.value.field == "entries"
