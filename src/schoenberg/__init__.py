@@ -41,7 +41,6 @@ from .quadrature import (
     interval_rule,
 )
 from .real_coeffs import compute_real_coeffs, harmonic_dimension, reconstruct
-from .selftest import run_selftest
 from .sequences import (
     ComplexSchoenbergSequence,
     RealSchoenbergSequence,
@@ -63,6 +62,16 @@ from .walk_complex import walk_down_complex, walk_up_complex
 from .walk_real import cross_project, walk_down, walk_up
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the check registry loads on first use, not with the package
+    if name == "run_selftest":
+        from .selftest import run_selftest
+
+        return run_selftest
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ClassEvidence",

@@ -15,30 +15,41 @@ Both transforms are separated. R_{m,n}(r e^{it}) = p_k(2 r^2 - 1) r^|l| e^{ilt}
 with l = m - n and k = min(m, n), so the angular factor depends only on
 the diagonal l and the radial factor only on (k, |l|):
 
-* ``compute_complex_coeffs`` reshapes the samples of the R x A rule to
-  radius x angle. For each pair of diagonals +-|l| it sums the samples
-  against e^{-ilt} over the uniform angles, which gives mode l at every
-  radius; one normalized Jacobi table over the R radii then gives every k
-  on those two diagonals, in one broadcast product. The angular sums cost
-  O(R A M) and the tables O(M^2 R) for max degree M; with the default
-  A = 4M + 8 the whole is O(M^2 R), against O(M^5) for evaluating every
-  R_{m,n} at every node. (``np.fft`` would bring the angular part to
-  O(R A log A), but it adds close to 1 MB of peak memory on first use,
-  for a part that is not the bottleneck.)
-* ``reconstruct_complex`` groups the entries by diagonal into dense
-  coefficient vectors and contracts each with its diagonal's Jacobi table
-  over the points, so it needs O((M/2) P) memory for P points, the same
-  order as the real ``reconstruct``.
+* ``compute_complex_coeffs`` works from a plan built once per process for
+  each (q, max degree M, rule) and kept like the quadrature rules (the last
+  ``RULE_CACHE_SIZE``, read-only). The plan holds the angular phases
+  cos(l t) and sin(l t) for l = 0..M and the radial operator: for each |l|
+  the rows h(m, n, q) w_i r_i^|l| p_k(2 r_i^2 - 1) over the R radii, from
+  one normalized Jacobi table, shared by the diagonals +-|l|. Building it
+  costs O(M^2 R) plus O(A M) phases. Each call then pays only array
+  operations: one real matrix product of the R x A samples with the
+  phases gives the modes of all 2M + 1 diagonals at every radius,
+  O(R A M), and one small product per |l| contracts them with the radial
+  rows, O(M^2 R); against O(M^5) for evaluating every R_{m,n} at every
+  node. (``np.fft`` would bring the angular part to O(R A log A), but it
+  adds close to 1 MB of peak memory on first use, for a part that is not
+  the bottleneck.)
+* ``reconstruct_complex`` groups the entries by |l| into dense coefficient
+  vectors, one per diagonal, and contracts the two diagonals +-|l| with
+  one shared Jacobi table over the points, so it needs O((M/2) P) memory
+  for P points, the same order as the real ``reconstruct``.
 """
 from __future__ import annotations
 
+import functools
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
-from .disk_polys import _angular, _disk_points, _polar_nodes, disk_rule_sized, h_norm
+from .disk_polys import _disk_points, _polar_nodes, disk_rule_sized, h_norm
 from .gegenbauer import _jacobi_table
-from .quadrature import QuadratureResolutionWarning, QuadratureRule, _finite_samples
+from .quadrature import (
+    RULE_CACHE_SIZE,
+    QuadratureResolutionWarning,
+    QuadratureRule,
+    _finite_samples,
+)
 from .sequences import ComplexSchoenbergSequence
 
 __all__ = ["compute_complex_coeffs", "reconstruct_complex"]
@@ -71,6 +82,42 @@ def _polar_grid(rule: QuadratureRule, q: int):
     return radii, weights, angles
 
 
+class _DiskPlan(NamedTuple):
+    """Everything of the disk transform fixed by (q, M, rule); arrays read-only.
+
+    ``phases`` (A, 2M + 2) holds cos(l t_j), then sin(l t_j), for l = 0..M;
+    ``radial[s]`` (k_max + 1, R) holds the rows h(k + s, k, q) w_i r_i^s
+    p_k(2 r_i^2 - 1), shared by the diagonals l = +-s, since h(m, n, q) is
+    symmetric; ``keys`` are the entries' (m, n) in output order, k-major
+    within each s and then l = +s before l = -s.
+    """
+
+    keys: tuple
+    phases: np.ndarray
+    radial: tuple
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _disk_plan(q: int, max_degree: int, angles: int, radii: bytes, weights: bytes) -> _DiskPlan:
+    """The plan for the rule with these radii and per-node weights (as bytes)."""
+    radii, weights = np.frombuffer(radii), np.frombuffer(weights)
+    # the phase index j l is reduced mod A, so l aliases onto l mod A exactly
+    angle = 2.0 * np.pi / angles * (np.outer(np.arange(angles), np.arange(max_degree + 1)) % angles)
+    phases = np.hstack((np.cos(angle), np.sin(angle)))
+    phases.flags.writeable = False
+    keys, radial = [], []
+    x = 2.0 * radii**2 - 1.0
+    for size in range(max_degree + 1):
+        table = _jacobi_table((max_degree - size) // 2, q - 2, size, x)
+        table *= weights * radii**size
+        table *= np.array([h_norm(k + size, k, q) for k in range(len(table))])[:, None]
+        table.flags.writeable = False
+        radial.append(table)
+        for k in range(len(table)):
+            keys += [(k + size, k), (k, k + size)] if size else [(k, k)]
+    return _DiskPlan(tuple(keys), phases, tuple(radial))
+
+
 def compute_complex_coeffs(
     phi,
     q: int,
@@ -95,29 +142,23 @@ def compute_complex_coeffs(
         rule = disk_rule_sized(q, max_degree)
     radii, weights, angles = _polar_grid(rule, q)
     values = _finite_samples(fn, rule.complex_nodes, complex, "phi", "z")
-    samples = values.reshape(len(radii), angles)
-    entries = {}
-    max_imag = 0.0
-    abs_mass = 0.0
-    for size in range(max_degree + 1):
-        diagonals = (size, -size) if size else (0,)
-        # mode l at radius r_i is sum_j phi(r_i e^{i t_j}) e^{-i l t_j}; the
-        # phase index j l is reduced mod A, so l aliases onto l mod A exactly
-        turns = np.outer(diagonals, np.arange(angles)) % angles
-        modes = (samples * np.exp(-2j * np.pi / angles * turns)[:, None, :]).sum(axis=-1)
-        # one row per diagonal l = +-size: w_i r_i^|l| times mode l at r_i
-        projected = weights * radii**size * modes
-        radial = _jacobi_table((max_degree - size) // 2, q - 2, size, 2.0 * radii**2 - 1.0)
-        # elementwise, not a complex matmul, which would load the complex BLAS
-        # kernels and add about 0.4 MB of peak memory
-        inner = (projected[:, None, :] * radial).sum(axis=-1)
-        for k, column in enumerate(inner.T):
-            for ell, value in zip(diagonals, column):
-                m, n = k + max(ell, 0), k + max(-ell, 0)
-                a = h_norm(m, n, q) * value
-                max_imag = max(max_imag, abs(float(a.imag)))
-                abs_mass += abs(float(a.real))
-                entries[(m, n)] = float(a.real)
+    plan = _disk_plan(q, max_degree, angles, radii.tobytes(), weights.tobytes())
+    # mode l at radius r_i is sum_j phi(r_i e^{i t_j}) e^{-i l t_j}; with
+    # phi = x + iy, one real product gives x cos, x sin, y cos and y sin,
+    # and mode +-l is (x cos +- y sin) + i (y cos -+ x sin). Real, not complex:
+    # a complex product loads the complex BLAS kernels (about +0.4 MB).
+    sums = np.concatenate((values.real, values.imag)).reshape(2, len(radii), angles) @ plan.phases
+    (x_cos, y_cos), (x_sin, y_sin) = np.split(sums, 2, axis=-1)
+    modes = np.stack((x_cos + y_sin, y_cos - x_sin, x_cos - y_sin, y_cos + x_sin), axis=-1)
+    # per size s, the rows (k, s) times the modes of l = +-s as (re, im)
+    # pairs give every entry of both diagonals, already in key order
+    a = np.concatenate(
+        [table @ modes[:, size, : 4 if size else 2] for size, table in enumerate(plan.radial)],
+        axis=None,
+    ).view(complex)
+    entries = dict(zip(plan.keys, a.real.tolist()))
+    max_imag = float(np.abs(a.imag).max())
+    abs_mass = float(np.abs(a.real).sum())
     if abs_mass > 1.0 + ILL_CONDITION_TOL:
         warnings.warn(
             f"absolute coefficient mass {abs_mass:.6g} exceeds 1; "
@@ -131,19 +172,28 @@ def compute_complex_coeffs(
 def reconstruct_complex(seq: ComplexSchoenbergSequence, z):
     """Evaluate the truncated disk expansion of ``seq`` at point(s) z.
 
-    Each diagonal's coefficients, zero-filled to a dense vector, contract
-    with that diagonal's radial table, so memory is O((M/2) P) for max
-    degree M and P points.
+    The coefficients of the diagonals +-|l|, zero-filled to dense vectors,
+    contract with one radial table for |l|; z^|l| then carries diagonal +|l|
+    and its conjugate diagonal -|l|. Memory is O((M/2) P) for max degree M
+    and P points.
     """
     scalar = np.ndim(z) == 0
     z, radius_sq = _disk_points(np.atleast_1d(z))
-    by_diagonal = {}
+    x = 2.0 * radius_sq - 1.0
+    by_size = {}
     for (m, n), a in seq.entries.items():
-        by_diagonal.setdefault(m - n, {})[min(m, n)] = a
+        by_size.setdefault(abs(m - n), ({}, {}))[m < n][min(m, n)] = a
     out = np.zeros_like(z)
-    for ell, column in by_diagonal.items():
-        dense = np.zeros(max(column) + 1)
-        dense[list(column)] = list(column.values())
-        radial = _jacobi_table(len(dense) - 1, seq.q - 2, abs(ell), 2.0 * radius_sq - 1.0)
-        out += (dense @ radial) * _angular(ell, z)
+    for size, sides in by_size.items():
+        radial = _jacobi_table(max(max(side, default=0) for side in sides), seq.q - 2, size, x)
+        plus, minus = (_dense(side, len(radial)) @ radial for side in sides)
+        power = z**size
+        out += plus * power + minus * power.conj()
     return complex(out[0]) if scalar else out
+
+
+def _dense(column: dict, length: int) -> np.ndarray:
+    """Coefficients {k: a_k} as a vector of the given length, zero elsewhere."""
+    dense = np.zeros(length)
+    dense[list(column)] = list(column.values())
+    return dense

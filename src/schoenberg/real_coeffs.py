@@ -15,6 +15,7 @@ with the Gauss-Jacobi rule of mu_d, giving
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .gegenbauer import normalized_gegenbauer_table
 from .quadrature import (
+    RULE_CACHE_SIZE,
     QuadratureResolutionWarning,
     QuadratureRule,
     _finite_samples,
@@ -70,13 +72,21 @@ def _rule_for(d: int, truncation: int, rule: QuadratureRule | None) -> Quadratur
     return rule
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _harmonic_dimensions(d: int, truncation: int) -> np.ndarray:
+    """N(d, n) for n = 0..truncation, cached per process; read-only."""
+    scale = np.array([harmonic_dimension(n, d) for n in range(truncation + 1)])
+    scale.flags.writeable = False
+    return scale
+
+
 def _project_values(values: np.ndarray, d: int, truncation: int, rule: QuadratureRule) -> np.ndarray:
     """Coefficient vectors for function samples taken on the rule's nodes.
 
     ``values`` has shape ``(..., K)`` with K the node count; one coefficient
     array of length ``truncation + 1`` is produced per leading row.
     """
-    scale = np.array([harmonic_dimension(n, d) for n in range(truncation + 1)])
+    scale = _harmonic_dimensions(d, truncation)
     basis = normalized_gegenbauer_table(truncation, d, rule.nodes)
     return scale * ((np.asarray(values, dtype=float) * rule.weights) @ basis.T)
 

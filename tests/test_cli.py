@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schoenberg
 from schoenberg import RealSchoenbergSequence, random_real_sequence
 from schoenberg import selftest
 from schoenberg.cli import main
@@ -206,6 +211,31 @@ def test_selftest_deterministic(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert "checks passed" in out_a
+
+
+def test_selftest_default_seed_is_the_registry_seed(capsys):
+    code_a, out_a, _ = run(capsys, "selftest")
+    code_b, out_b, _ = run(capsys, "selftest", "--seed", str(selftest.SEED))
+    assert code_a == code_b == 0
+    assert out_a == out_b
+
+
+def test_cli_import_leaves_the_selftest_registry_unloaded():
+    script = (
+        "import sys, schoenberg.cli\n"
+        "assert 'schoenberg.selftest' not in sys.modules\n"
+        "from schoenberg import run_selftest\n"
+        "assert run_selftest.__module__ == 'schoenberg.selftest'\n"
+    )
+    src = str(Path(schoenberg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        schoenberg.no_such_name
 
 
 def test_selftest_negative_seed_exits_1_and_names_seed(capsys):

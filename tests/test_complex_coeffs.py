@@ -19,6 +19,8 @@ from schoenberg import (
     random_complex_sequence,
     reconstruct_complex,
 )
+from schoenberg import complex_coeffs
+from schoenberg.disk_polys import _polar_nodes
 
 
 def entry_error(a: ComplexSchoenbergSequence, b: ComplexSchoenbergSequence) -> float:
@@ -195,9 +197,13 @@ def test_under_resolved_grid_aliases_like_per_node_sum():
 
 def test_rule_for_another_q_is_rejected():
     # the q = 6 rule would give a_{1,1} = -0.095 and a_{2,2} = -0.32 for |z|^2
-    # at q = 3, where the true entries are a_{0,0} = 1/3 and a_{1,1} = 2/3
-    with pytest.raises(ValueError, match=r"q=3.*disk_quadrature\(3"):
-        compute_complex_coeffs(disk_monomial(1, 1), 3, 4, disk_quadrature(6, 20, 24))
+    # at q = 3, where the true entries are a_{0,0} = 1/3 and a_{1,1} = 2/3;
+    # the check holds with and without a plan built for the rule at q = 6
+    rule = disk_quadrature(6, 20, 24)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"q=3.*disk_quadrature\(3"):
+            compute_complex_coeffs(disk_monomial(1, 1), 3, 4, rule)
+        compute_complex_coeffs(disk_monomial(1, 1), 6, 4, rule)
 
 
 def test_rule_that_is_not_a_polar_grid_is_rejected():
@@ -249,3 +255,59 @@ def test_reconstruct_matches_per_entry_sum():
     assert np.array_equal(reconstruct_complex(empty, points), np.zeros_like(points))
     with pytest.raises(ValueError, match="nan"):
         reconstruct_complex(empty, complex("nan"))
+
+
+def _plan_of(rule, q, max_degree):
+    radii, weights, angles = complex_coeffs._polar_grid(rule, q)
+    return complex_coeffs._disk_plan(q, max_degree, angles, radii.tobytes(), weights.tobytes())
+
+
+def test_each_rule_gets_its_own_plan():
+    # the plan is keyed on the rule's radii and weights, not on its shape:
+    # Gauss rules of two sizes, then a rule with the first one's shape but
+    # other radii, each match the per-node sum on their own nodes
+    q, max_degree, angles = 3, 12, 56
+    phi = disk_from_sequence(random_complex_sequence(q, 8, seed=4))
+    first = disk_quadrature(q, 26, angles)
+    radii, weights, _ = complex_coeffs._polar_grid(first, q)
+    moved = radii**1.1
+    weights = weights * (weights @ radii**2) / (weights @ moved**2)
+    same_shape = QuadratureRule(_polar_nodes(moved, angles), np.repeat(weights, angles))
+    for rule in (first, disk_quadrature(q, 31, angles), same_shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureResolutionWarning)
+            got = compute_complex_coeffs(phi, q, max_degree, rule)
+        reference = per_bidegree_sum(phi, q, max_degree, rule)
+        assert max(abs(got.get(*k) - v.real) for k, v in reference.items()) <= 1e-12
+
+
+def test_cold_and_warm_plans_give_identical_coefficients():
+    phi = disk_from_sequence(random_complex_sequence(5, 8, seed=9))
+    complex_coeffs._disk_plan.cache_clear()
+    cold = compute_complex_coeffs(phi, 5, 20)
+    warm = compute_complex_coeffs(phi, 5, 20)
+    assert complex_coeffs._disk_plan.cache_info().hits >= 1
+    assert list(cold.entries.items()) == list(warm.entries.items())
+    assert cold.max_imag == warm.max_imag
+
+
+def test_plan_arrays_are_read_only():
+    plan = _plan_of(disk_rule_sized(3, 10), 3, 10)
+    assert len(plan.radial) == 11 and len(plan.keys) == 66
+    for array in (plan.phases, *plan.radial):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+
+
+def test_reconstruct_with_both_diagonals_at_every_size_matches_per_entry_sum():
+    # every (m, n) with m + n <= 32, so each radial table serves +|l| and -|l|
+    rng = np.random.default_rng(12)
+    points = np.sqrt(rng.uniform(0.0, 1.0, 60)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 60))
+    points = np.concatenate((points, [0.0, 1.0, -1j, (1.0 + 5e-13) * np.exp(2.1j)]))
+    keys = [(m, n) for m in range(33) for n in range(33 - m)]
+    for q in (2, 3, 5, 100):
+        weights = rng.uniform(0.1, 1.0, len(keys))
+        seq = ComplexSchoenbergSequence(q, dict(zip(keys, weights / weights.sum())), 32)
+        got = reconstruct_complex(seq, points)
+        assert np.max(np.abs(got - per_entry_sum(seq, points))) <= 1e-13

@@ -15,6 +15,7 @@ from schoenberg import (
     random_real_sequence,
     reconstruct,
 )
+from schoenberg.real_coeffs import _harmonic_dimensions
 
 
 def test_harmonic_dimension_closed_forms():
@@ -23,6 +24,15 @@ def test_harmonic_dimension_closed_forms():
         assert harmonic_dimension(n, 2) == pytest.approx(2 * n + 1, rel=1e-13)
         assert harmonic_dimension(n, 3) == pytest.approx((n + 1) ** 2, rel=1e-13)
     assert np.isfinite(harmonic_dimension(30, 1001))
+
+
+def test_cached_harmonic_dimensions_are_the_scalar_values_read_only():
+    for d, truncation in ((1, 0), (2, 64), (5, 512), (101, 40)):
+        scale = _harmonic_dimensions(d, truncation)
+        assert scale.tolist() == [harmonic_dimension(n, d) for n in range(truncation + 1)]
+        assert _harmonic_dimensions(d, truncation) is scale
+        with pytest.raises(ValueError):
+            scale[0] = 2.0
 
 
 def test_harmonic_dimension_rejects_bad_arguments():
