@@ -29,10 +29,15 @@ the diagonal l and the radial factor only on (k, |l|):
   node. (``np.fft`` would bring the angular part to O(R A log A), but it
   adds close to 1 MB of peak memory on first use, for a part that is not
   the bottleneck.)
-* ``reconstruct_complex`` groups the entries by |l| into dense coefficient
-  vectors, one per diagonal, and contracts the two diagonals +-|l| with
-  one shared Jacobi table over the points, so it needs O((M/2) P) memory
-  for P points, the same order as the real ``reconstruct``.
+* ``reconstruct_complex`` evaluates the radial factors once per distinct
+  |z|^2, not once per point (a polar plotting grid repeats its radii), and
+  runs one Jacobi recurrence over k for all sizes |l| at once, adding each
+  row into the sums of the diagonals +-|l| instead of keeping a table. So
+  it needs O(M U) memory for U distinct |z|^2, plus O(P) for P points;
+  the angular factors z^|l| are then applied point by point.
+* Both build and read sequences as arrays: the coefficients become a
+  sequence through the array form of its constructor, and reconstruction
+  reads the entries as the diagonal-major grid the walks use.
 """
 from __future__ import annotations
 
@@ -43,14 +48,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .disk_polys import _disk_points, _polar_nodes, disk_rule_sized, h_norm
-from .gegenbauer import _jacobi_table
+from .gegenbauer import _jacobi_first, _jacobi_table, _jacobi_terms
 from .quadrature import (
     RULE_CACHE_SIZE,
     QuadratureResolutionWarning,
     QuadratureRule,
     _finite_samples,
 )
-from .sequences import ComplexSchoenbergSequence
+from .sequences import ComplexSchoenbergSequence, _diagonal_grid, _Entries
 
 __all__ = ["compute_complex_coeffs", "reconstruct_complex"]
 
@@ -88,11 +93,11 @@ class _DiskPlan(NamedTuple):
     ``phases`` (A, 2M + 2) holds cos(l t_j), then sin(l t_j), for l = 0..M;
     ``radial[s]`` (k_max + 1, R) holds the rows h(k + s, k, q) w_i r_i^s
     p_k(2 r_i^2 - 1), shared by the diagonals l = +-s, since h(m, n, q) is
-    symmetric; ``keys`` are the entries' (m, n) in output order, k-major
+    symmetric; ``keys`` (rows m, n) are the entries' bi-degrees in output order, k-major
     within each s and then l = +s before l = -s.
     """
 
-    keys: tuple
+    keys: np.ndarray
     phases: np.ndarray
     radial: tuple
 
@@ -115,7 +120,9 @@ def _disk_plan(q: int, max_degree: int, angles: int, radii: bytes, weights: byte
         radial.append(table)
         for k in range(len(table)):
             keys += [(k + size, k), (k, k + size)] if size else [(k, k)]
-    return _DiskPlan(tuple(keys), phases, tuple(radial))
+    keys = np.array(keys)
+    keys.flags.writeable = False
+    return _DiskPlan(keys, phases, tuple(radial))
 
 
 def compute_complex_coeffs(
@@ -156,7 +163,6 @@ def compute_complex_coeffs(
         [table @ modes[:, size, : 4 if size else 2] for size, table in enumerate(plan.radial)],
         axis=None,
     ).view(complex)
-    entries = dict(zip(plan.keys, a.real.tolist()))
     max_imag = float(np.abs(a.imag).max())
     abs_mass = float(np.abs(a.real).sum())
     if abs_mass > 1.0 + ILL_CONDITION_TOL:
@@ -166,34 +172,68 @@ def compute_complex_coeffs(
             QuadratureResolutionWarning,
             stacklevel=2,
         )
+    entries = _Entries(*plan.keys.T, a.real)
     return ComplexSchoenbergSequence(q, entries, max_degree, max_imag=max_imag)
 
 
 def reconstruct_complex(seq: ComplexSchoenbergSequence, z):
     """Evaluate the truncated disk expansion of ``seq`` at point(s) z.
 
-    The coefficients of the diagonals +-|l|, zero-filled to dense vectors,
-    contract with one radial table for |l|; z^|l| then carries diagonal +|l|
-    and its conjugate diagonal -|l|. Memory is O((M/2) P) for max degree M
-    and P points.
+    The radial factor p_k(2|z|^2 - 1) depends on |z|^2 alone, so the Jacobi
+    recurrence runs once per distinct |z|^2, over k for every size |l| at
+    once, and adds each row into the sums of the diagonals +-|l| as it goes;
+    z^|l| then carries diagonal +|l| and its conjugate diagonal -|l|. Memory
+    is O(M U) for max degree M and U distinct |z|^2, besides O(P) for the
+    P points; z may have any shape.
     """
-    scalar = np.ndim(z) == 0
-    z, radius_sq = _disk_points(np.atleast_1d(z))
-    x = 2.0 * radius_sq - 1.0
-    by_size = {}
-    for (m, n), a in seq.entries.items():
-        by_size.setdefault(abs(m - n), ({}, {}))[m < n][min(m, n)] = a
-    out = np.zeros_like(z)
-    for size, sides in by_size.items():
-        radial = _jacobi_table(max(max(side, default=0) for side in sides), seq.q - 2, size, x)
-        plus, minus = (_dense(side, len(radial)) @ radial for side in sides)
-        power = z**size
-        out += plus * power + minus * power.conj()
-    return complex(out[0]) if scalar else out
+    shape = np.shape(z)
+    z, radius_sq = _disk_points(np.ravel(z))
+    radius_sq, at = np.unique(radius_sq, return_inverse=True)
+    diagonals, grid = _diagonal_grid(seq)
+    sizes, row = np.unique(np.abs(diagonals), return_inverse=True)
+    coef = np.zeros((2, len(sizes), grid.shape[1]))  # diagonal +|l|, then -|l|
+    coef[(diagonals < 0).astype(int), row] = grid
+    plus, minus = _radial_sums(coef, sizes, seq.q - 2.0, 2.0 * radius_sq - 1.0)
+    # a z^s + b conj(z)^s = (a + b) Re z^s + i (a - b) Im z^s, all real arithmetic
+    real, imag = np.zeros(len(z)), np.zeros(len(z))
+    power, reached = np.ones_like(z), 0
+    for size, even, odd in zip(sizes, plus + minus, plus - minus):
+        power *= z if size == reached + 1 else z ** (size - reached)  # z**1 is slow
+        reached = size
+        real += even[at] * power.real
+        imag += odd[at] * power.imag
+    out = (real + 1j * imag).reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
-def _dense(column: dict, length: int) -> np.ndarray:
-    """Coefficients {k: a_k} as a vector of the given length, zero elsewhere."""
-    dense = np.zeros(length)
-    dense[list(column)] = list(column.values())
-    return dense
+def _radial_sums(coef: np.ndarray, sizes: np.ndarray, a: float, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[:, i, k] p_k(x) with p_k the normalized Jacobi (a, sizes[i]) rows.
+
+    One recurrence over k for all sizes, with ``gegenbauer``'s terms, keeping
+    only the last two rows. Each size stops at its top nonzero k, as its own
+    table would: the sizes are put in order of top k, so the ones still
+    running are a prefix, and none is carried to a degree where it could
+    overflow. Returns shape (2, len(sizes), len(x)).
+    """
+    width = coef.shape[2]
+    top = (np.arange(width) * (coef != 0.0).any(axis=0)).max(axis=1, initial=0)
+    order = np.argsort(-top, kind="stable")
+    coef, top, b = coef[:, order], top[order], sizes[order].astype(float)
+    terms = [term[..., None] for term in _jacobi_terms(np.arange(2.0, width)[:, None], a, b)]
+    prev2 = np.ones((len(sizes), len(x)))
+    sums = coef[:, :, :1] * prev2
+    if width > 1:
+        prev = _jacobi_first(a, b[:, None], x)
+        sums += coef[:, :, 1:2] * prev
+    for k, (c3, c2, c4, den) in enumerate(zip(*terms), start=2):
+        live = np.count_nonzero(top >= k)
+        row = x * c3[:live]
+        row += c2[:live]
+        row *= prev[:live]
+        row -= c4[:live] * prev2[:live]
+        row /= den[:live]
+        sums[:, :live] += coef[:, :live, k, None] * row
+        prev2, prev = prev[:live], row
+    out = np.empty_like(sums)
+    out[:, order] = sums
+    return out

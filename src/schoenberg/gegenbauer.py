@@ -161,11 +161,11 @@ def _jacobi_table(k_max: int, a: float, b: float, x) -> np.ndarray:
     out = np.empty((k_max + 1, x.size))
     out[0] = 1.0
     if k_max >= 1:
-        out[1] = x if a == b else ((a + b + 2.0) * x + (a - b)) / (2.0 * a + 2.0)
+        out[1] = x if a == b else _jacobi_first(a, b, x)
     k = np.arange(2.0, k_max + 1)
-    t = 2.0 * k + a + b
     scratch = np.empty_like(x)
     if a == b:
+        t = 2.0 * k + a + b
         lead, drop = (t - 1.0) / (k + a + b), (k - 1.0) / (k + a + b)
         for row, prev, prev2, lead_k, drop_k in zip(out[2:], out[1:], out, lead, drop):
             np.multiply(prev, x, out=row)
@@ -173,10 +173,7 @@ def _jacobi_table(k_max: int, a: float, b: float, x) -> np.ndarray:
             np.multiply(prev2, drop_k, out=scratch)
             row -= scratch
     else:
-        c3 = (t - 2.0) * (t - 1.0) * t
-        c2 = (t - 1.0) * (a - b) * (a + b)
-        c4 = 2.0 * (k - 1.0) * (k + b - 1.0) * t
-        den = 2.0 * (k + a + b) * (t - 2.0) * (k + a)
+        c3, c2, c4, den = _jacobi_terms(k, a, b)
         for row, prev, prev2, c3_k, c2_k, c4_k, den_k in zip(
             out[2:], out[1:], out, c3, c2, c4, den
         ):
@@ -187,3 +184,22 @@ def _jacobi_table(k_max: int, a: float, b: float, x) -> np.ndarray:
             row -= scratch
             row /= den_k
     return out.reshape(shape)
+
+
+def _jacobi_first(a, b, x):
+    """Row p_1 of ``_jacobi_table``; a, b and x broadcast."""
+    return ((a + b + 2.0) * x + (a - b)) / (2.0 * a + 2.0)
+
+
+def _jacobi_terms(k, a, b):
+    """Terms (c3, c2, c4, den) of ``_jacobi_table``'s general recurrence at degrees k >= 2.
+
+    Row k is ((c3 x + c2) p_{k-1} - c4 p_{k-2}) / den; k, a and b broadcast.
+    """
+    t = 2.0 * k + a + b
+    return (
+        (t - 2.0) * (t - 1.0) * t,
+        (t - 1.0) * (a - b) * (a + b),
+        2.0 * (k - 1.0) * (k + b - 1.0) * t,
+        2.0 * (k + a + b) * (t - 2.0) * (k + a),
+    )

@@ -18,9 +18,12 @@ and re-loading is lossless.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +58,66 @@ class SequenceValidityError(ValueError):
 
 def _mass_flags(values, total) -> bool:
     return bool(np.all(np.asarray(values) >= -NEG_TOL) and total <= 1.0 + MASS_TOL)
+
+
+class _Entries(NamedTuple):
+    """Entries as parallel arrays: bi-degrees ``m``, ``n`` and their values.
+
+    Sequences the package builds from arrays pass this as ``entries``, so the
+    constructor checks them as arrays; a user's dict is first converted.
+    """
+
+    m: np.ndarray
+    n: np.ndarray
+    values: np.ndarray
+
+
+def _is_index(x) -> bool:
+    """An integer, or a float with an integer value; never a boolean."""
+    if isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _entry_arrays(entries: dict) -> _Entries:
+    """A {(m, n): value} dict as arrays, refusing keys that are not integer pairs."""
+    keys = list(entries)
+    # pairs of plain ints pass at C speed; any other key is checked on its own
+    if not (
+        set(map(type, keys)) <= {tuple}
+        and set(map(len, keys)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
+    ):
+        for key in keys:
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_index, key))):
+                raise ValueError(f"bi-degree {key!r} is not a pair of integers")
+        keys = [(int(m), int(n)) for m, n in keys]
+    try:
+        index = np.fromiter(itertools.chain.from_iterable(keys), int, 2 * len(keys))
+    except OverflowError:  # kept as Python integers, to fail the range checks by name
+        index = np.array(keys, dtype=object)
+    m, n = index.reshape(-1, 2).T
+    return _Entries(m, n, np.array([float(v) for v in entries.values()]))
+
+
+def _diagonal_grid(seq: ComplexSchoenbergSequence, pad: int = 0):
+    """The entries on a diagonal-major grid, sized from the support.
+
+    Returns the occupied diagonals l = m - n in increasing order and a
+    float grid with one row per diagonal, where column k holds the entry of
+    bi-degree (k + max(l, 0), k + max(-l, 0)), so k = min(m, n). The
+    columns run to the largest k in the support (to 0 at least), plus
+    ``pad`` zero columns.
+    """
+    count = len(seq.entries)
+    keys = np.fromiter(itertools.chain.from_iterable(seq.entries), int, 2 * count)
+    m, n = keys.reshape(-1, 2).T
+    values = np.fromiter(seq.entries.values(), float, count)
+    diagonals, row = np.unique(m - n, return_inverse=True)
+    k = np.minimum(m, n)
+    grid = np.zeros((len(diagonals), k.max(initial=0) + 1 + pad))
+    grid[row, k] = values
+    return diagonals, grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +216,9 @@ class ComplexSchoenbergSequence:
 
     ``entries`` maps bi-degree ``(m, n)`` to a real coefficient; indices are
     restricted to ``m + n <= max_degree``. ``q`` fixes the sphere (points in
-    C^q) and hence the disk-polynomial parameter ``q - 2``.
+    C^q) and hence the disk-polynomial parameter ``q - 2``. An index is an
+    integer or an integral float, as in the wire format; any other key,
+    booleans included, is refused by name.
     """
 
     q: int
@@ -168,27 +233,23 @@ class ComplexSchoenbergSequence:
             raise ValueError("q must be >= 2")
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        clean = {}
-        for key, value in self.entries.items():
-            m, n = int(key[0]), int(key[1])
-            if m < 0 or n < 0:
-                raise ValueError(f"negative bi-degree ({m}, {n})")
-            if m + n > self.max_degree:
-                raise ValueError(
-                    f"entry ({m}, {n}) exceeds max_degree {self.max_degree}"
-                )
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"entry ({m}, {n}) is not finite")
-            if value != 0.0:
-                clean[(m, n)] = value
-        object.__setattr__(self, "entries", clean)
+        entries = self.entries
+        m, n, values = entries if isinstance(entries, _Entries) else _entry_arrays(entries)
+        for bad, what in (
+            ((m < 0) | (n < 0), "has a negative index"),
+            (m + n > self.max_degree, f"exceeds max_degree {self.max_degree}"),
+            (~np.isfinite(values), "is not finite"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"entry ({m[i]}, {n[i]}) {what}")
+        keep = values != 0.0
+        kept = values[keep].tolist()
+        object.__setattr__(
+            self, "entries", dict(zip(zip(m[keep].tolist(), n[keep].tolist()), kept))
+        )
         if self.valid_mass is None:
-            object.__setattr__(
-                self,
-                "valid_mass",
-                _mass_flags(list(clean.values()) or [0.0], sum(clean.values())),
-            )
+            object.__setattr__(self, "valid_mass", _mass_flags(values[keep], sum(kept)))
 
     @property
     def total_mass(self) -> float:

@@ -24,12 +24,20 @@ keeps it as the paper's reference formula. The weights are strictly
 positive, which is what makes the support of a nonnegative sequence
 transfer faithfully down the walk: a_{m,n} > 0 exactly when
 a'_{m+j,n+j} > 0 for some j >= 0.
+
+Both walks run on the sequence's diagonal-major grid: one row per occupied
+diagonal m - n, indexed by k = min(m, n), sized from the support and never
+from max_degree. The forward walk is one array expression over the grid;
+the inverse walk takes one back-substitution step per k, from the top, for
+all diagonals at once, so about M/2 array steps at max degree M. The
+per-element arithmetic is the recursion above, so results match an entry
+by entry walk bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .sequences import ComplexSchoenbergSequence
+from .sequences import ComplexSchoenbergSequence, _diagonal_grid, _Entries
 
 __all__ = [
     "inverse_walk_weights_complex",
@@ -70,19 +78,15 @@ def walk_up_complex(seq: ComplexSchoenbergSequence) -> ComplexSchoenbergSequence
     """
     if seq.max_degree < 2:
         raise ValueError("walk_up_complex needs max_degree >= 2")
-    q = seq.q
     out_degree = seq.max_degree - 2
-    candidates = set()
-    for (m, n) in seq.entries:
-        if m + n <= out_degree:
-            candidates.add((m, n))
-        if m >= 1 and n >= 1 and (m - 1) + (n - 1) <= out_degree:
-            candidates.add((m - 1, n - 1))
-    out = {}
-    for (m, n) in candidates:
-        lead, drop = _bands(m, n, q)
-        out[(m, n)] = lead * seq.get(m, n) - drop * seq.get(m + 1, n + 1)
-    return ComplexSchoenbergSequence(q + 1, out, out_degree)
+    diagonals, grid = _diagonal_grid(seq, pad=1)
+    m, n = _bi_degrees(diagonals, grid.shape[1] - 1)
+    lead, drop = _bands(m, n, seq.q)
+    values = lead * grid[:, :-1] - drop * grid[:, 1:]
+    keep = m + n <= out_degree
+    return ComplexSchoenbergSequence(
+        seq.q + 1, _Entries(m[keep], n[keep], values[keep]), out_degree
+    )
 
 
 def walk_down_complex(
@@ -105,21 +109,25 @@ def walk_down_complex(
     if not tail_tol >= 0.0:
         raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
     q_out = seq.q - 1
-    tops = {}
-    for (m, n) in seq.entries:
-        tops[m - n] = max(tops.get(m - n, 0), min(m, n))
-    out = {}
-    for diag, t_top in tops.items():
-        m_off, n_off = max(diag, 0), max(-diag, 0)
-        upper = 0.0
-        for t in range(t_top, -1, -1):
-            m, n = t + m_off, t + n_off
-            lead, drop = _bands(m, n, q_out)
-            upper = (seq.get(m, n) + drop * upper) / lead
-            out[(m, n)] = upper
-    boundary = [
-        abs(a) for (m, n), a in seq.entries.items() if m + n >= seq.max_degree - 1
-    ]
-    worst = max(boundary, default=0.0)
-    tail = worst if worst > tail_tol else 0.0
-    return ComplexSchoenbergSequence(q_out, out, seq.max_degree, tail_bound=tail)
+    diagonals, grid = _diagonal_grid(seq)
+    m, n = _bi_degrees(diagonals, grid.shape[1])
+    worst = np.abs(grid[m + n >= seq.max_degree - 1]).max(initial=0.0)
+    tail = float(worst) if worst > tail_tol else 0.0
+    lead, drop = _bands(m, n, q_out)
+    # one step per k, from the top down, for every diagonal at once; a cell
+    # above its diagonal's top stays 0, as the entries above the top are
+    upper = np.zeros(len(diagonals))
+    for a, lead_k, drop_k in zip(grid.T[::-1], lead.T[::-1], drop.T[::-1]):
+        a += drop_k * upper
+        a /= lead_k
+        upper = a
+    keep = m + n <= seq.max_degree
+    return ComplexSchoenbergSequence(
+        q_out, _Entries(m[keep], n[keep], grid[keep]), seq.max_degree, tail_bound=tail
+    )
+
+
+def _bi_degrees(diagonals: np.ndarray, width: int):
+    """Bi-degrees (m, n) of the cells of a diagonal grid ``width`` columns wide."""
+    k = np.arange(width)
+    return k + np.maximum(diagonals, 0)[:, None], k + np.maximum(-diagonals, 0)[:, None]

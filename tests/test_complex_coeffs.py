@@ -239,10 +239,20 @@ def test_reconstruct_matches_per_entry_sum():
     rng = np.random.default_rng(8)
     points = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 200))
     rim = (1.0 + 5e-13) * np.exp(0.3j)
+    # a polar plotting grid: each radius repeats on 40 angles; the shape is kept
+    polar = np.linspace(0.0, 1.0, 20)[:, None] * np.exp(2j * np.pi * np.arange(40) / 40)
+    # every (m, n) with m + n <= 32, so both diagonals +-|l| at every |l| <= 32
+    keys = [(m, n) for m in range(33) for n in range(33 - m)]
     for q in (2, 3, 5, 100):
-        seq = random_complex_sequence(q, 12, seed=q, n_terms=40)
-        got = reconstruct_complex(seq, points)
-        assert np.max(np.abs(got - per_entry_sum(seq, points))) <= 1e-13
+        weights = rng.uniform(0.1, 1.0, len(keys))
+        dense = ComplexSchoenbergSequence(q, dict(zip(keys, weights / weights.sum())), 32)
+        for seq in (random_complex_sequence(q, 12, seed=q, n_terms=40), dense):
+            got = reconstruct_complex(seq, points)
+            assert np.max(np.abs(got - per_entry_sum(seq, points))) <= 1e-13
+            on_grid = reconstruct_complex(seq, polar)
+            assert on_grid.shape == polar.shape
+            assert np.max(np.abs(on_grid.ravel() - per_entry_sum(seq, polar.ravel()))) <= 1e-13
+            assert abs(reconstruct_complex(seq, rim) - per_entry_sum(seq, rim)[0]) <= 1e-13
         scalar = reconstruct_complex(seq, 0.4 - 0.2j)
         assert isinstance(scalar, complex)
         assert abs(scalar - per_entry_sum(seq, 0.4 - 0.2j)[0]) <= 1e-13

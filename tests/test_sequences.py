@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ def test_complex_entry_validation():
     # exact zeros are pruned from the sparse map
     seq = ComplexSchoenbergSequence(2, {(0, 0): 1.0, (1, 1): 0.0}, 3)
     assert (1, 1) not in seq.entries
+
+
+def test_complex_keys_must_be_integer_pairs():
+    # a non-integer or boolean index is refused by name, never truncated
+    for bad in ((1.5, 0), (True, 0), (0, np.True_), ("1", 0), (1, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            ComplexSchoenbergSequence(2, {bad: 0.5, (1, 0): 0.25}, 3)
+    # as in the wire format, integral floats and numpy integers are indices
+    seq = ComplexSchoenbergSequence(2, {(1.0, np.int64(0)): 0.5}, 3)
+    assert [tuple(map(type, key)) for key in seq.entries] == [(int, int)]
+    assert seq.entries == {(1, 0): 0.5}
 
 
 @seed(202)

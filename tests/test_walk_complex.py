@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from schoenberg import (
     walk_down_complex,
     walk_up_complex,
 )
+from schoenberg.cli import main
 from schoenberg.walk_complex import inverse_walk_weights_complex
 
 
@@ -174,3 +178,108 @@ def test_walk_down_matches_inverse_series():
         assert set(down.entries) == set(series)
         for key, value in series.items():
             assert abs(down.get(*key) - value) <= 1e-14 * value
+
+
+def _oracle_bands(m, n, q):
+    lead = (m + q - 1.0) * (n + q - 1.0) / ((q - 1.0) * (m + n + q - 1.0))
+    drop = (m + 1.0) * (n + 1.0) / ((q - 1.0) * (m + n + q + 1.0))
+    return lead, drop
+
+
+def _oracle_walk_up(seq):
+    """The per-entry dict walk q -> q + 1, kept as the reference."""
+    if seq.max_degree < 2:
+        raise ValueError("walk_up_complex needs max_degree >= 2")
+    q, out_degree = seq.q, seq.max_degree - 2
+    candidates = set()
+    for (m, n) in seq.entries:
+        if m + n <= out_degree:
+            candidates.add((m, n))
+        if m >= 1 and n >= 1 and (m - 1) + (n - 1) <= out_degree:
+            candidates.add((m - 1, n - 1))
+    out = {}
+    for (m, n) in candidates:
+        lead, drop = _oracle_bands(m, n, q)
+        out[(m, n)] = lead * seq.get(m, n) - drop * seq.get(m + 1, n + 1)
+    return ComplexSchoenbergSequence(q + 1, out, out_degree)
+
+
+def _oracle_walk_down(seq, tail_tol=1e-12):
+    """The per-entry dict walk q + 1 -> q, kept as the reference."""
+    q_out = seq.q - 1
+    tops = {}
+    for (m, n) in seq.entries:
+        tops[m - n] = max(tops.get(m - n, 0), min(m, n))
+    out = {}
+    for diag, t_top in tops.items():
+        m_off, n_off = max(diag, 0), max(-diag, 0)
+        upper = 0.0
+        for t in range(t_top, -1, -1):
+            m, n = t + m_off, t + n_off
+            lead, drop = _oracle_bands(m, n, q_out)
+            upper = (seq.get(m, n) + drop * upper) / lead
+            out[(m, n)] = upper
+    boundary = [abs(a) for (m, n), a in seq.entries.items() if m + n >= seq.max_degree - 1]
+    worst = max(boundary, default=0.0)
+    tail = worst if worst > tail_tol else 0.0
+    return ComplexSchoenbergSequence(q_out, out, seq.max_degree, tail_bound=tail)
+
+
+def _oracle_inputs(q, top):
+    rng = np.random.default_rng([q, top])
+    dense = [(m, n) for m in range(top + 1) for n in range(top + 1 - m)]
+    weights = rng.uniform(0.1, 1.0, len(dense))
+    yield ComplexSchoenbergSequence(q, dict(zip(dense, weights / weights.sum())), top)
+    sparse = [dense[i] for i in rng.choice(len(dense), size=min(7, len(dense)), replace=False)]
+    yield ComplexSchoenbergSequence(q, dict(zip(sparse, rng.uniform(-1.0, 1.0, len(sparse)))), top)
+    yield ComplexSchoenbergSequence(q, {}, top)
+
+
+def _same(got, want):
+    return (
+        got.q == want.q
+        and got.max_degree == want.max_degree
+        and got.entries == want.entries
+        and got.tail_bound == want.tail_bound
+        and got.valid_mass == want.valid_mass
+    )
+
+
+def test_array_walks_are_bit_identical_to_the_dict_walks():
+    for q in (3, 4, 5, 100):
+        for top in (0, 1, 2, 3, 32, 80):
+            for seq in _oracle_inputs(q, top):
+                assert _same(walk_down_complex(seq), _oracle_walk_down(seq))
+                assert _same(walk_down_complex(seq, tail_tol=0.0), _oracle_walk_down(seq, 0.0))
+                if top < 2:
+                    with pytest.raises(ValueError, match="max_degree >= 2"):
+                        walk_up_complex(seq)
+                    continue
+                assert _same(walk_up_complex(seq), _oracle_walk_up(seq))
+
+
+def test_walk_json_is_byte_identical_to_the_dict_walks(tmp_path):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    for q in (3, 100):
+        for seq in _oracle_inputs(q, 32):
+            seq.save(src)
+            for command, oracle in (
+                ("cwalk-up", _oracle_walk_up),
+                ("cwalk-down", _oracle_walk_down),
+            ):
+                assert main([command, "--in", str(src), "--out", str(out)]) == 0
+                assert out.read_text() == json.dumps(oracle(seq).to_dict()) + "\n"
+
+
+def test_sparse_walks_size_their_grid_from_the_support():
+    # an (M + 1)^2 grid at M = 10^6 would take terabytes; the support needs 2 x 3 cells
+    seq = ComplexSchoenbergSequence(3, {(0, 0): 0.5, (3, 1): 0.5}, 10**6)
+    tracemalloc.start()
+    try:
+        up = walk_up_complex(seq)
+        down = walk_down_complex(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _same(up, _oracle_walk_up(seq)) and _same(down, _oracle_walk_down(seq))
