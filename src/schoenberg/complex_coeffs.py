@@ -31,13 +31,15 @@ the diagonal l and the radial factor only on (k, |l|):
   the bottleneck.)
 * ``reconstruct_complex`` evaluates the radial factors once per distinct
   |z|^2, not once per point (a polar plotting grid repeats its radii), and
-  runs one Jacobi recurrence over k for all sizes |l| at once, adding each
-  row into the sums of the diagonals +-|l| instead of keeping a table. So
-  it needs O(M U) memory for U distinct |z|^2, plus O(P) for P points;
-  the angular factors z^|l| are then applied point by point.
+  runs one Jacobi recurrence over k for all sizes |l| at once
+  (``gegenbauer._jacobi_sums``), adding each row into the sums of the
+  diagonals +-|l| instead of keeping a table. So it needs O(M U) memory
+  for U distinct |z|^2, plus O(P) for P points and the coefficients laid
+  out by size and k; the angular factors z^|l| are then applied point by
+  point.
 * Both build and read sequences as arrays: the coefficients become a
   sequence through the array form of its constructor, and reconstruction
-  reads the entries as the diagonal-major grid the walks use.
+  reads the entries as arrays, as the walks do.
 """
 from __future__ import annotations
 
@@ -48,14 +50,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .disk_polys import _disk_points, _polar_nodes, disk_rule_sized, h_norm
-from .gegenbauer import _jacobi_first, _jacobi_table, _jacobi_terms
+from .gegenbauer import _jacobi_sums, _jacobi_table
 from .quadrature import (
     RULE_CACHE_SIZE,
     QuadratureResolutionWarning,
     QuadratureRule,
     _finite_samples,
 )
-from .sequences import ComplexSchoenbergSequence, _diagonal_grid, _Entries
+from .sequences import ComplexSchoenbergSequence, _diagonal_entries, _Entries
 
 __all__ = ["compute_complex_coeffs", "reconstruct_complex"]
 
@@ -184,16 +186,17 @@ def reconstruct_complex(seq: ComplexSchoenbergSequence, z):
     once, and adds each row into the sums of the diagonals +-|l| as it goes;
     z^|l| then carries diagonal +|l| and its conjugate diagonal -|l|. Memory
     is O(M U) for max degree M and U distinct |z|^2, besides O(P) for the
-    P points; z may have any shape.
+    P points and the coefficients laid out by size and k; z may have any
+    shape.
     """
     shape = np.shape(z)
     z, radius_sq = _disk_points(np.ravel(z))
     radius_sq, at = np.unique(radius_sq, return_inverse=True)
-    diagonals, grid = _diagonal_grid(seq)
-    sizes, row = np.unique(np.abs(diagonals), return_inverse=True)
-    coef = np.zeros((2, len(sizes), grid.shape[1]))  # diagonal +|l|, then -|l|
-    coef[(diagonals < 0).astype(int), row] = grid
-    plus, minus = _radial_sums(coef, sizes, seq.q - 2.0, 2.0 * radius_sq - 1.0)
+    diagonal, k, a = _diagonal_entries(seq)
+    sizes, row = np.unique(np.abs(diagonal), return_inverse=True)
+    coef = np.zeros((2, len(sizes), k.max(initial=0) + 1))  # diagonal +|l|, then -|l|
+    coef[(diagonal < 0).astype(int), row, k] = a
+    plus, minus = _jacobi_sums(coef, seq.q - 2.0, sizes, 2.0 * radius_sq - 1.0)
     # a z^s + b conj(z)^s = (a + b) Re z^s + i (a - b) Im z^s, all real arithmetic
     real, imag = np.zeros(len(z)), np.zeros(len(z))
     power, reached = np.ones_like(z), 0
@@ -204,36 +207,3 @@ def reconstruct_complex(seq: ComplexSchoenbergSequence, z):
         imag += odd[at] * power.imag
     out = (real + 1j * imag).reshape(shape)
     return complex(out) if out.ndim == 0 else out
-
-
-def _radial_sums(coef: np.ndarray, sizes: np.ndarray, a: float, x: np.ndarray) -> np.ndarray:
-    """sum_k coef[:, i, k] p_k(x) with p_k the normalized Jacobi (a, sizes[i]) rows.
-
-    One recurrence over k for all sizes, with ``gegenbauer``'s terms, keeping
-    only the last two rows. Each size stops at its top nonzero k, as its own
-    table would: the sizes are put in order of top k, so the ones still
-    running are a prefix, and none is carried to a degree where it could
-    overflow. Returns shape (2, len(sizes), len(x)).
-    """
-    width = coef.shape[2]
-    top = (np.arange(width) * (coef != 0.0).any(axis=0)).max(axis=1, initial=0)
-    order = np.argsort(-top, kind="stable")
-    coef, top, b = coef[:, order], top[order], sizes[order].astype(float)
-    terms = [term[..., None] for term in _jacobi_terms(np.arange(2.0, width)[:, None], a, b)]
-    prev2 = np.ones((len(sizes), len(x)))
-    sums = coef[:, :, :1] * prev2
-    if width > 1:
-        prev = _jacobi_first(a, b[:, None], x)
-        sums += coef[:, :, 1:2] * prev
-    for k, (c3, c2, c4, den) in enumerate(zip(*terms), start=2):
-        live = np.count_nonzero(top >= k)
-        row = x * c3[:live]
-        row += c2[:live]
-        row *= prev[:live]
-        row -= c4[:live] * prev2[:live]
-        row /= den[:live]
-        sums[:, :live] += coef[:, :live, k, None] * row
-        prev2, prev = prev[:live], row
-    out = np.empty_like(sums)
-    out[:, order] = sums
-    return out

@@ -9,8 +9,10 @@ the Chebyshev recurrence.
 
 The table is the a = b = (d - 2) / 2 case of ``_jacobi_table``, the one
 recurrence for Jacobi polynomials normalized to 1 at 1; the disk radial
-factors are its a = q - 2, b = |m - n| case. The scalar evaluators are
-kept apart from it as independent references.
+factors are its a = q - 2, b = |m - n| case. ``_jacobi_sums`` runs the
+same recurrence, from the same terms, for many b at once and keeps only
+the sums over k that the disk reconstruction needs. The scalar
+evaluators are kept apart from it as independent references.
 
 All evaluators run the three-term recurrence forward, which is stable on
 ``[-1, 1]`` for nonnegative orders.
@@ -184,6 +186,40 @@ def _jacobi_table(k_max: int, a: float, b: float, x) -> np.ndarray:
             row -= scratch
             row /= den_k
     return out.reshape(shape)
+
+
+def _jacobi_sums(coef: np.ndarray, a: float, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sums over k of coef[j, i, k] p_k(x), with p_k the rows of ``_jacobi_table`` at (a, b[i]).
+
+    One pass of the same recurrence over k for every b at once, keeping only
+    the last two rows, so memory is O(len(b) len(x)) at any degree. Each b
+    stops at its top nonzero coefficient, as its own table would, so none is
+    carried to a degree where it could overflow: the b run in order of their
+    top k, and the ones still running are a prefix. Returns shape
+    ``(len(coef), len(b), len(x))``.
+    """
+    width = coef.shape[2]
+    top = (np.arange(width) * (coef != 0.0).any(axis=0)).max(axis=1, initial=0)
+    order = np.argsort(-top, kind="stable")
+    coef, top, b = coef[:, order], top[order], np.asarray(b, dtype=float)[order]
+    terms = [term[..., None] for term in _jacobi_terms(np.arange(2.0, width)[:, None], a, b)]
+    prev2 = np.ones((len(b), len(x)))
+    sums = coef[:, :, :1] * prev2
+    if width > 1:
+        prev = _jacobi_first(a, b[:, None], x)
+        sums += coef[:, :, 1:2] * prev
+    for k, (c3, c2, c4, den) in enumerate(zip(*terms), start=2):
+        live = np.count_nonzero(top >= k)
+        row = x * c3[:live]
+        row += c2[:live]
+        row *= prev[:live]
+        row -= c4[:live] * prev2[:live]
+        row /= den[:live]
+        sums[:, :live] += coef[:, :live, k, None] * row
+        prev2, prev = prev[:live], row
+    out = np.empty_like(sums)
+    out[:, order] = sums
+    return out
 
 
 def _jacobi_first(a, b, x):

@@ -74,50 +74,43 @@ class _Entries(NamedTuple):
 
 def _is_index(x) -> bool:
     """An integer, or a float with an integer value; never a boolean."""
+    if isinstance(x, int):
+        return not isinstance(x, bool)
     if isinstance(x, float):
         return x.is_integer()
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return isinstance(x, numbers.Integral)
+
+
+def _index_arrays(keys) -> tuple:
+    """Arrays m and n of a collection of (m, n) integer pairs.
+
+    Indices past the int64 range stay Python integers in object arrays, so
+    they keep their exact values.
+    """
+    try:
+        index = np.fromiter(itertools.chain.from_iterable(keys), int, 2 * len(keys))
+    except OverflowError:
+        index = np.array(list(keys), dtype=object)
+    return tuple(index.reshape(-1, 2).T)
 
 
 def _entry_arrays(entries: dict) -> _Entries:
     """A {(m, n): value} dict as arrays, refusing keys that are not integer pairs."""
-    keys = list(entries)
-    # pairs of plain ints pass at C speed; any other key is checked on its own
-    if not (
-        set(map(type, keys)) <= {tuple}
-        and set(map(len, keys)) <= {2}
-        and set(map(type, itertools.chain.from_iterable(keys))) <= {int}
-    ):
-        for key in keys:
-            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_index, key))):
-                raise ValueError(f"bi-degree {key!r} is not a pair of integers")
-        keys = [(int(m), int(n)) for m, n in keys]
-    try:
-        index = np.fromiter(itertools.chain.from_iterable(keys), int, 2 * len(keys))
-    except OverflowError:  # kept as Python integers, to fail the range checks by name
-        index = np.array(keys, dtype=object)
-    m, n = index.reshape(-1, 2).T
-    return _Entries(m, n, np.array([float(v) for v in entries.values()]))
+    keys = []
+    for key in entries:
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_index, key))):
+            raise ValueError(f"bi-degree {key!r} is not a pair of integers")
+        keys.append((int(key[0]), int(key[1])))
+    return _Entries(*_index_arrays(keys), np.array([float(v) for v in entries.values()]))
 
 
-def _diagonal_grid(seq: ComplexSchoenbergSequence, pad: int = 0):
-    """The entries on a diagonal-major grid, sized from the support.
-
-    Returns the occupied diagonals l = m - n in increasing order and a
-    float grid with one row per diagonal, where column k holds the entry of
-    bi-degree (k + max(l, 0), k + max(-l, 0)), so k = min(m, n). The
-    columns run to the largest k in the support (to 0 at least), plus
-    ``pad`` zero columns.
-    """
-    count = len(seq.entries)
-    keys = np.fromiter(itertools.chain.from_iterable(seq.entries), int, 2 * count)
-    m, n = keys.reshape(-1, 2).T
-    values = np.fromiter(seq.entries.values(), float, count)
-    diagonals, row = np.unique(m - n, return_inverse=True)
-    k = np.minimum(m, n)
-    grid = np.zeros((len(diagonals), k.max(initial=0) + 1 + pad))
-    grid[row, k] = values
-    return diagonals, grid
+def _diagonal_entries(seq: ComplexSchoenbergSequence):
+    """The entries as arrays (l, k, values), sorted by diagonal l = m - n, then k = min(m, n)."""
+    m, n = _index_arrays(seq.entries)
+    values = np.fromiter(seq.entries.values(), float, len(seq.entries))
+    diagonal, k = m - n, np.minimum(m, n)
+    order = np.lexsort((k, diagonal))
+    return diagonal[order], k[order], values[order]
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,19 +25,23 @@ positive, which is what makes the support of a nonnegative sequence
 transfer faithfully down the walk: a_{m,n} > 0 exactly when
 a'_{m+j,n+j} > 0 for some j >= 0.
 
-Both walks run on the sequence's diagonal-major grid: one row per occupied
-diagonal m - n, indexed by k = min(m, n), sized from the support and never
-from max_degree. The forward walk is one array expression over the grid;
-the inverse walk takes one back-substitution step per k, from the top, for
-all diagonals at once, so about M/2 array steps at max degree M. The
-per-element arithmetic is the recursion above, so results match an entry
-by entry walk bit for bit.
+Both walks read the entries as arrays, with diagonal l = m - n and
+k = min(m, n). The forward walk is one array expression over the entries
+and the empty cells just below them, so its work and memory follow the
+number of entries, whatever their degrees. The inverse walk fills each
+diagonal from its top k down to 0, on a grid with one row per occupied
+diagonal and one column per k up to the highest top; it takes one
+back-substitution step per k, from the top, for all diagonals at once, so
+about M/2 array steps at max degree M. The grid depends on the support
+alone, never on max_degree, and holds at most (number of diagonals) times
+the output's entries. The per-element arithmetic is the recursion above,
+so results match an entry by entry walk bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .sequences import ComplexSchoenbergSequence, _diagonal_grid, _Entries
+from .sequences import ComplexSchoenbergSequence, _diagonal_entries, _Entries
 
 __all__ = [
     "inverse_walk_weights_complex",
@@ -50,7 +54,8 @@ def _bands(m, n, q: int):
     """``lead`` and ``drop`` of the walk q -> q + 1 at bi-degree (m, n)."""
     lead = (m + q - 1.0) * (n + q - 1.0) / ((q - 1.0) * (m + n + q - 1.0))
     drop = (m + 1.0) * (n + 1.0) / ((q - 1.0) * (m + n + q + 1.0))
-    return lead, drop
+    # indices past int64 come as object arrays of Python integers
+    return np.asarray(lead, dtype=float), np.asarray(drop, dtype=float)
 
 
 def inverse_walk_weights_complex(m: int, n: int, q: int, j_max: int) -> np.ndarray:
@@ -79,10 +84,20 @@ def walk_up_complex(seq: ComplexSchoenbergSequence) -> ComplexSchoenbergSequence
     if seq.max_degree < 2:
         raise ValueError("walk_up_complex needs max_degree >= 2")
     out_degree = seq.max_degree - 2
-    diagonals, grid = _diagonal_grid(seq, pad=1)
-    m, n = _bi_degrees(diagonals, grid.shape[1] - 1)
+    diagonal, k, a = _diagonal_entries(seq)
+    # output cell (l, k) reads input cells (l, k) and (l, k + 1), so the
+    # output cells are the entries' own cells and the empty cells just below
+    # them; the entries are sorted, so the cell above an entry is filled
+    # exactly when the next entry is it (the wrap from last to first never is)
+    above = (np.roll(diagonal, -1) == diagonal) & (np.roll(k, -1) == k + 1)
+    below = (k > 0) & ~np.roll(above, 1)
+    diagonal = np.concatenate((diagonal, diagonal[below]))
+    k = np.concatenate((k, k[below] - 1))
+    own = np.concatenate((a, np.zeros(np.count_nonzero(below))))
+    upper = np.concatenate((np.where(above, np.roll(a, -1), 0.0), a[below]))
+    m, n = k + np.maximum(diagonal, 0), k + np.maximum(-diagonal, 0)
     lead, drop = _bands(m, n, seq.q)
-    values = lead * grid[:, :-1] - drop * grid[:, 1:]
+    values = lead * own - drop * upper
     keep = m + n <= out_degree
     return ComplexSchoenbergSequence(
         seq.q + 1, _Entries(m[keep], n[keep], values[keep]), out_degree
@@ -109,25 +124,26 @@ def walk_down_complex(
     if not tail_tol >= 0.0:
         raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
     q_out = seq.q - 1
-    diagonals, grid = _diagonal_grid(seq)
-    m, n = _bi_degrees(diagonals, grid.shape[1])
-    worst = np.abs(grid[m + n >= seq.max_degree - 1]).max(initial=0.0)
+    diagonal, k, a = _diagonal_entries(seq)
+    worst = np.abs(a[np.abs(diagonal) + 2 * k >= seq.max_degree - 1]).max(initial=0.0)
     tail = float(worst) if worst > tail_tol else 0.0
+    # the output fills each diagonal from its top k down to 0, so it is laid
+    # out as a grid, one row per diagonal and one column per k up to the
+    # highest top; a cell above its diagonal's top stays 0, as the entries
+    # above the top are
+    diagonals, row = np.unique(diagonal, return_inverse=True)
+    grid = np.zeros((len(diagonals), k.max(initial=-1) + 1))
+    grid[row, k.astype(int)] = a
+    cell_k = np.arange(grid.shape[1])
+    m = cell_k + np.maximum(diagonals, 0)[:, None]
+    n = cell_k + np.maximum(-diagonals, 0)[:, None]
     lead, drop = _bands(m, n, q_out)
-    # one step per k, from the top down, for every diagonal at once; a cell
-    # above its diagonal's top stays 0, as the entries above the top are
     upper = np.zeros(len(diagonals))
-    for a, lead_k, drop_k in zip(grid.T[::-1], lead.T[::-1], drop.T[::-1]):
-        a += drop_k * upper
-        a /= lead_k
-        upper = a
+    for column, lead_k, drop_k in zip(grid.T[::-1], lead.T[::-1], drop.T[::-1]):
+        column += drop_k * upper
+        column /= lead_k
+        upper = column
     keep = m + n <= seq.max_degree
     return ComplexSchoenbergSequence(
         q_out, _Entries(m[keep], n[keep], grid[keep]), seq.max_degree, tail_bound=tail
     )
-
-
-def _bi_degrees(diagonals: np.ndarray, width: int):
-    """Bi-degrees (m, n) of the cells of a diagonal grid ``width`` columns wide."""
-    k = np.arange(width)
-    return k + np.maximum(diagonals, 0)[:, None], k + np.maximum(-diagonals, 0)[:, None]

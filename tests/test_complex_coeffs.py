@@ -253,19 +253,26 @@ def test_reconstruct_matches_per_entry_sum():
             assert on_grid.shape == polar.shape
             assert np.max(np.abs(on_grid.ravel() - per_entry_sum(seq, polar.ravel()))) <= 1e-13
             assert abs(reconstruct_complex(seq, rim) - per_entry_sum(seq, rim)[0]) <= 1e-13
-        scalar = reconstruct_complex(seq, 0.4 - 0.2j)
-        assert isinstance(scalar, complex)
-        assert abs(scalar - per_entry_sum(seq, 0.4 - 0.2j)[0]) <= 1e-13
-        assert abs(reconstruct_complex(seq, rim) - per_entry_sum(seq, rim)[0]) <= 1e-13
-        assert reconstruct_complex(seq, []).shape == (0,)
-        for bad in (complex("nan"), 1.01, np.array([0.1, 1j * (1.0 + 1e-9)])):
-            with pytest.raises(ValueError, match="z"):
-                reconstruct_complex(seq, bad)
+            scalar = reconstruct_complex(seq, 0.4 - 0.2j)
+            assert isinstance(scalar, complex)
+            assert abs(scalar - per_entry_sum(seq, 0.4 - 0.2j)[0]) <= 1e-13
+            assert reconstruct_complex(seq, []).shape == (0,)
+            for bad in (complex("nan"), 1.01, np.array([0.1, 1j * (1.0 + 1e-9)])):
+                with pytest.raises(ValueError, match="z"):
+                    reconstruct_complex(seq, bad)
     empty = ComplexSchoenbergSequence(3, {}, 4)
     assert np.array_equal(reconstruct_complex(empty, points), np.zeros_like(points))
     with pytest.raises(ValueError, match="nan"):
         reconstruct_complex(empty, complex("nan"))
 
+
+
+def test_reconstruct_stops_each_diagonal_at_its_top():
+    # carried past its one entry at k = 0 up to k = 520, the Jacobi (0, 520)
+    # recurrence would reach binom(1040, 520) ~ 3e311 at z = 0 and overflow
+    seq = ComplexSchoenbergSequence(2, {(520, 520): 0.5, (520, 0): 0.5}, 1040)
+    z = np.array([0.0, 0.5, 0.9j, 0.3 - 0.95j])
+    assert np.max(np.abs(reconstruct_complex(seq, z) - per_entry_sum(seq, z))) <= 1e-13
 
 def _plan_of(rule, q, max_degree):
     radii, weights, angles = complex_coeffs._polar_grid(rule, q)

@@ -271,8 +271,8 @@ def test_walk_json_is_byte_identical_to_the_dict_walks(tmp_path):
                 assert out.read_text() == json.dumps(oracle(seq).to_dict()) + "\n"
 
 
-def test_sparse_walks_size_their_grid_from_the_support():
-    # an (M + 1)^2 grid at M = 10^6 would take terabytes; the support needs 2 x 3 cells
+def test_sparse_walks_never_size_by_max_degree():
+    # an (M + 1)^2 grid at M = 10^6 would take terabytes; the support needs a few cells
     seq = ComplexSchoenbergSequence(3, {(0, 0): 0.5, (3, 1): 0.5}, 10**6)
     tracemalloc.start()
     try:
@@ -283,3 +283,31 @@ def test_sparse_walks_size_their_grid_from_the_support():
         tracemalloc.stop()
     assert peak < 2**20
     assert _same(up, _oracle_walk_up(seq)) and _same(down, _oracle_walk_down(seq))
+
+
+def test_walk_up_reads_only_the_entries_at_any_degree():
+    # an entry at k = min(m, n) = 10^9 costs the forward walk its own cell and
+    # the one below it, not a row of 10^9 cells; past int64, indices stay exact
+    for top in (10**9, 2**70):
+        entries = {(top, top): 0.5, (top + 3, 1): 0.25, (0, 0): 0.25}
+        seq = ComplexSchoenbergSequence(3, entries, 2 * top + 4)
+        tracemalloc.start()
+        try:
+            up = walk_up_complex(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert _same(up, _oracle_walk_up(seq))
+        assert (top - 1, top - 1) in up.entries and (top + 2, 0) in up.entries
+
+
+def test_walk_down_fills_a_tall_diagonal_from_its_top():
+    # the inverse walk's output runs from each diagonal's top entry down to
+    # k = 0, here 5001 entries on one diagonal next to two short ones, one of
+    # them past int64
+    huge = 2**70
+    seq = ComplexSchoenbergSequence(3, {(5000, 5000): 0.5, (huge, 1): 0.25, (0, 0): 0.25}, huge + 1)
+    down = walk_down_complex(seq)
+    assert _same(down, _oracle_walk_down(seq))
+    assert len(down.entries) == 5001 + 2
