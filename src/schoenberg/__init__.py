@@ -7,6 +7,7 @@ diagnostics. See the README for the CLI and the JSON wire formats.
 """
 from .complex_coeffs import compute_complex_coeffs, reconstruct_complex
 from .disk_polys import (
+    DiskRule,
     disk_poly_eval,
     disk_quadrature,
     disk_rule_sized,
@@ -78,6 +79,7 @@ __all__ = [
     "ClassImplication",
     "ComplexSchoenbergSequence",
     "DiskFunction",
+    "DiskRule",
     "IsotropicFunction",
     "QuadratureResolutionWarning",
     "QuadratureRule",

@@ -29,7 +29,7 @@ import numpy as np
 from .complex_coeffs import compute_complex_coeffs, reconstruct_complex
 from .functions import make_disk, make_isotropic
 from .quadrature import QuadratureResolutionWarning, interval_rule
-from .disk_polys import disk_quadrature
+from .disk_polys import disk_quadrature, disk_rule_sized
 from .real_coeffs import compute_real_coeffs, reconstruct
 from .sequences import (
     ComplexSchoenbergSequence,
@@ -93,7 +93,8 @@ def _cmd_ccoeffs(args) -> int:
     phi = make_disk(args.family, **params)
     rule = None
     if args.nodes is not None:
-        rule = disk_quadrature(args.q, args.nodes, 4 * args.M + 8)
+        angles = disk_rule_sized(args.q, args.M).angular_nodes
+        rule = disk_quadrature(args.q, args.nodes, angles)
     status = EXIT_OK
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", QuadratureResolutionWarning)

@@ -28,17 +28,22 @@ radial factors p_0, p_1, ... of one diagonal are the rows of
 the real-sphere basis. It serves ``jacobi_eval``, ``disk_poly_eval`` and
 the transforms in ``complex_coeffs``, which take a whole diagonal's table
 at once instead of evaluating every R_{m,n} from scratch.
+
+The product quadrature of nu is a ``DiskRule``, which holds only (q, R, A):
+this module alone knows the layout of its nodes.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb, pi
 
 import numpy as np
 
 from .gegenbauer import _jacobi_table
-from .quadrature import QuadratureRule, gauss_jacobi
+from .quadrature import _integer, gauss_jacobi
 
 __all__ = [
+    "DiskRule",
     "jacobi_eval",
     "jacobi_at_one",
     "disk_poly_eval",
@@ -116,37 +121,55 @@ def h_norm(m: int, n: int, q: int) -> float:
     return (m + n + q - 1) / (q - 1) * comb(m + q - 2, q - 2) * comb(n + q - 2, q - 2)
 
 
-def disk_quadrature(q: int, radial_nodes: int, angular_nodes: int) -> QuadratureRule:
+@dataclass(frozen=True)
+class DiskRule:
     """Product quadrature for the disk probability measure at parameter q - 2.
 
-    Gauss-Jacobi with parameters (q - 2, 0) for the radial density
-    (q - 1) (1 - s)^(q-2) in s = r^2 on [0, 1], crossed with a uniform
-    angular grid (exact for trigonometric polynomials of degree below the
-    grid size). Total weight is 1 up to roundoff. The nodes run over the
-    angles 2 pi j / angular_nodes at each radius in turn, the layout
-    ``compute_complex_coeffs`` reads back for its transform over angles.
+    R = ``radial_nodes`` Gauss-Jacobi (q - 2, 0) nodes for the radial density
+    (q - 1) (1 - s)^(q-2) in s = r^2, crossed with A = ``angular_nodes``
+    uniform angles (exact for trigonometric polynomials of degree below A).
+    The rule is its three integers, so equal rules hash alike; its nodes run
+    over the A angles at each radius in turn, and its weights sum to 1.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if radial_nodes < 1 or angular_nodes < 1:
-        raise ValueError(
-            f"need at least one node, got radial_nodes={radial_nodes}, "
-            f"angular_nodes={angular_nodes}"
-        )
-    t, radial_weight = gauss_jacobi(radial_nodes, q - 2, 0)
-    r = np.sqrt(0.5 * (1.0 + t))  # s = r^2 = (1 + t) / 2
-    weights = np.repeat(radial_weight / angular_nodes, angular_nodes)
-    return QuadratureRule(_polar_nodes(r, angular_nodes), weights)
+
+    q: int
+    radial_nodes: int
+    angular_nodes: int
+
+    def __post_init__(self):
+        for name in ("q", "radial_nodes", "angular_nodes"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.q < 2:
+            raise ValueError("q must be >= 2")
+        if self.radial_nodes < 1 or self.angular_nodes < 1:
+            raise ValueError(
+                f"need at least one node, got radial_nodes={self.radial_nodes}, "
+                f"angular_nodes={self.angular_nodes}"
+            )
+
+    def polar(self):
+        """The R radii, and the weight of each node on the circle of each radius."""
+        t, radial_weight = gauss_jacobi(self.radial_nodes, self.q - 2, 0)
+        return np.sqrt(0.5 * (1.0 + t)), radial_weight / self.angular_nodes  # s = (1 + t) / 2
+
+    @property
+    def complex_nodes(self) -> np.ndarray:
+        """The R A nodes r_i e^{2 pi i j / A}, j = 0..A-1 at each radius r_i in turn."""
+        radii, _ = self.polar()
+        phi = 2.0 * pi * np.arange(self.angular_nodes) / self.angular_nodes
+        return (np.outer(radii, np.cos(phi)) + 1j * np.outer(radii, np.sin(phi))).ravel()
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight of each node, in the order of ``complex_nodes``."""
+        return np.repeat(self.polar()[1], self.angular_nodes)
 
 
-def _polar_nodes(radii: np.ndarray, angular_nodes: int) -> np.ndarray:
-    """(x, y) rows of r e^{2 pi i j / A} for each radius r in turn, j = 0..A-1."""
-    phi = 2.0 * pi * np.arange(angular_nodes) / angular_nodes
-    x = np.outer(radii, np.cos(phi)).ravel()
-    y = np.outer(radii, np.sin(phi)).ravel()
-    return np.column_stack([x, y])
+def disk_quadrature(q: int, radial_nodes: int, angular_nodes: int) -> DiskRule:
+    """The disk rule of R = radial_nodes radii and A = angular_nodes angles at q."""
+    return DiskRule(q, radial_nodes, angular_nodes)
 
 
-def disk_rule_sized(q: int, max_degree: int) -> QuadratureRule:
+def disk_rule_sized(q: int, max_degree: int) -> DiskRule:
     """Disk rule resolving products of disk polynomials up to max_degree."""
     return disk_quadrature(q, max_degree + q + 12, 4 * max_degree + 8)

@@ -9,10 +9,11 @@ the probability measure proportional to ``(1 - x)^alpha (1 + x)^beta`` on
   ``(1 - u^2)^((d-2)/2) du``, so :func:`interval_rule` is the Gauss-Jacobi
   rule with ``alpha = beta = (d - 2) / 2`` for every d >= 1 (Chebyshev at
   d = 1, Legendre at d = 2). It is exact for polynomial integrands.
-* The disk rule (see ``disk_polys.disk_quadrature``) uses ``alpha = q - 2``,
-  ``beta = 0`` in ``s = r^2``, crossed with a uniform angular grid.
+* The disk rule ``disk_polys.DiskRule`` uses ``alpha = q - 2``, ``beta = 0``
+  in ``s = r^2``, crossed with a uniform angular grid.
 
-Weights sum to 1: the rules integrate against probability measures.
+Weights sum to 1: the rules integrate against probability measures, so
+both transforms warn when a sequence's absolute mass exceeds 1.
 
 A symmetric rule (``alpha == beta``, every interval rule) is seeded from a
 Jacobi matrix of half the size, in ``y = 2 x^2 - 1``, and mirrored, so its
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +41,36 @@ __all__ = [
 ]
 
 
+#: total |coefficient| mass above 1 by more than this flags under-resolution
+ILL_CONDITION_TOL = 1e-6
+
+
 class QuadratureResolutionWarning(UserWarning):
     """A computed coefficient sequence looks under-resolved."""
 
 
+def _warn_if_under_resolved(coeffs) -> None:
+    """Warn, at the line that called the transform, if sum |coeffs| exceeds 1."""
+    abs_mass = float(np.abs(coeffs).sum())
+    if abs_mass > 1.0 + ILL_CONDITION_TOL:
+        warnings.warn(
+            f"absolute coefficient mass {abs_mass:.6g} exceeds 1; "
+            "the quadrature rule looks under-resolved",
+            QuadratureResolutionWarning,
+            stacklevel=3,
+        )
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a non-integer or a boolean is refused by ``name``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Node/weight table for interval or disk integration.
-
-    Interval rules have nodes of shape ``(K,)`` holding ``u = cos(theta)``;
-    disk rules have nodes of shape ``(K, 2)`` holding x, y.
-    """
+    """Node/weight table of an interval rule; nodes hold ``u = cos(theta)``."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -58,19 +80,12 @@ class QuadratureRule:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if not np.all(self.weights > 0.0):
             raise ValueError("quadrature weights must be positive")
-        if len(self.weights) != len(self.nodes):
-            raise ValueError("nodes and weights must have equal length")
+        if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
+            raise ValueError("nodes and weights must be 1-D arrays of equal length")
 
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-    @property
-    def complex_nodes(self) -> np.ndarray:
-        """Disk nodes as complex numbers (disk rules only)."""
-        if self.nodes.ndim != 2:
-            raise ValueError("complex_nodes is only defined for disk rules")
-        return self.nodes[:, 0] + 1j * self.nodes[:, 1]
 
 
 #: Gauss-Jacobi rules kept per process; the least recently used goes first
@@ -99,10 +114,7 @@ def gauss_jacobi(n_nodes: int, alpha: float, beta: float):
     triples), so a repeated call returns the same two arrays. They are
     read-only: copy them before changing them.
     """
-    try:
-        n = operator.index(n_nodes)
-    except TypeError:
-        raise ValueError(f"n_nodes must be an integer, got {n_nodes!r}") from None
+    n = _integer("n_nodes", n_nodes)
     if n < 1:
         raise ValueError(f"need at least one node, got n_nodes={n}")
     for name, value in (("alpha", alpha), ("beta", beta)):
@@ -214,7 +226,7 @@ def interval_rule(d: int, n_nodes: int) -> QuadratureRule:
     The weight ``(1 - u^2)^((d-2)/2)`` is the surface measure of S^d in u,
     normalized to total mass 1.
     """
-    if d < 1:
+    if _integer("d", d) < 1:
         raise ValueError("dimension d must be >= 1")
     alpha = 0.5 * (d - 2)
     return QuadratureRule(*gauss_jacobi(n_nodes, alpha, alpha))

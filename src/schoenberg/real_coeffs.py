@@ -17,25 +17,21 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
 from .gegenbauer import normalized_gegenbauer_table
 from .quadrature import (
     RULE_CACHE_SIZE,
-    QuadratureResolutionWarning,
     QuadratureRule,
     _finite_samples,
+    _warn_if_under_resolved,
     default_node_count,
     interval_rule,
 )
 from .sequences import RealSchoenbergSequence
 
 __all__ = ["harmonic_dimension", "compute_real_coeffs", "reconstruct"]
-
-#: total |coefficient| mass above 1 by more than this flags under-resolution
-ILL_CONDITION_TOL = 1e-6
 
 
 def harmonic_dimension(n: int, d: int) -> float:
@@ -63,7 +59,7 @@ def harmonic_dimension(n: int, d: int) -> float:
 def _rule_for(d: int, truncation: int, rule: QuadratureRule | None) -> QuadratureRule:
     if rule is None:
         return interval_rule(d, default_node_count(truncation))
-    if rule.nodes.ndim != 1:
+    if not isinstance(rule, QuadratureRule):
         raise ValueError("real-sphere coefficients need an interval rule")
     # the weights carry the measure of S^d, whose second moment is 1/(d+1);
     # a rule built for another dimension would give plausible wrong numbers
@@ -113,13 +109,7 @@ def compute_real_coeffs(
     rule = _rule_for(d, truncation, rule)
     values = _finite_samples(fn, np.arccos(rule.nodes), float, "psi", "theta")
     coeffs = _project_values(values, d, truncation, rule)
-    if np.abs(coeffs).sum() > 1.0 + ILL_CONDITION_TOL:
-        warnings.warn(
-            f"absolute coefficient mass {np.abs(coeffs).sum():.6g} exceeds 1; "
-            "the quadrature rule looks under-resolved",
-            QuadratureResolutionWarning,
-            stacklevel=2,
-        )
+    _warn_if_under_resolved(coeffs)
     return RealSchoenbergSequence(d, coeffs)
 
 

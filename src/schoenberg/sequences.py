@@ -27,6 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .quadrature import _integer
+
 __all__ = [
     "MASS_TOL",
     "NEG_TOL",
@@ -129,6 +131,7 @@ class RealSchoenbergSequence:
     tail_bound: float = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer("d", self.d))
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
         coeffs = np.array(self.coeffs, dtype=float, copy=True)
@@ -222,6 +225,7 @@ class ComplexSchoenbergSequence:
     max_imag: float = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "q", _integer("q", self.q))
         if self.q < 2:
             raise ValueError("q must be >= 2")
         if self.max_degree < 0:

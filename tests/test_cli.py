@@ -92,6 +92,23 @@ def test_ccoeffs_mixture_runs(capsys, tmp_path):
     assert abs(sum(e[2] for e in data["entries"]) - 1.0) <= 1e-9
 
 
+def test_ccoeffs_nodes_sets_the_radial_count(capsys, tmp_path):
+    # --nodes K replaces the radial count only; the angles stay those of
+    # the default rule, 4 M + 8
+    out = tmp_path / "mix.json"
+    for q, M, K in ((3, 6, 11), (5, 2, 1)):
+        code, _, _ = run(
+            capsys,
+            "ccoeffs", "--family", "disk-mixture", "--q", str(q), "--M", str(M), "--seed", "2",
+            "--nodes", str(K), "--out", str(out),
+        )
+        phi = schoenberg.make_disk("disk-mixture", m=None, n=None, q=q, max_degree=M, seed=2)
+        rule = schoenberg.disk_quadrature(q, K, 4 * M + 8)
+        want = schoenberg.compute_complex_coeffs(phi, q, M, rule)
+        assert code == 0
+        assert json.loads(out.read_text()) == want.to_dict()
+
+
 def test_spd_check_diagonal_monomial(capsys, tmp_path):
     seqfile = tmp_path / "zsq.json"
     code, _, _ = run(

@@ -6,7 +6,6 @@ import pytest
 from schoenberg import (
     ComplexSchoenbergSequence,
     QuadratureResolutionWarning,
-    QuadratureRule,
     compute_complex_coeffs,
     disk_constant,
     disk_from_sequence,
@@ -20,7 +19,6 @@ from schoenberg import (
     reconstruct_complex,
 )
 from schoenberg import complex_coeffs
-from schoenberg.disk_polys import _polar_nodes
 
 
 def entry_error(a: ComplexSchoenbergSequence, b: ComplexSchoenbergSequence) -> float:
@@ -201,17 +199,14 @@ def test_rule_for_another_q_is_rejected():
     # the check holds with and without a plan built for the rule at q = 6
     rule = disk_quadrature(6, 20, 24)
     for _ in range(2):
-        with pytest.raises(ValueError, match=r"q=3.*disk_quadrature\(3"):
+        with pytest.raises(ValueError, match=r"q=6, not q=3.*disk_quadrature\(3, R, A\)"):
             compute_complex_coeffs(disk_monomial(1, 1), 3, 4, rule)
         compute_complex_coeffs(disk_monomial(1, 1), 6, 4, rule)
 
 
-def test_rule_that_is_not_a_polar_grid_is_rejected():
-    rule = disk_quadrature(3, 8, 12)
-    order = np.random.default_rng(0).permutation(len(rule.weights))
-    shuffled = QuadratureRule(rule.nodes[order], rule.weights[order])
-    for bad in (interval_rule(2, 16), shuffled):
-        with pytest.raises(ValueError, match="disk_quadrature"):
+def test_rule_that_is_not_a_disk_rule_is_rejected():
+    for bad in (interval_rule(2, 16), (3, 8, 12)):
+        with pytest.raises(ValueError, match=r"disk rule.*disk_quadrature\(3, R, A\)"):
             compute_complex_coeffs(disk_constant(), 3, 2, bad)
 
 
@@ -274,28 +269,22 @@ def test_reconstruct_stops_each_diagonal_at_its_top():
     z = np.array([0.0, 0.5, 0.9j, 0.3 - 0.95j])
     assert np.max(np.abs(reconstruct_complex(seq, z) - per_entry_sum(seq, z))) <= 1e-13
 
-def _plan_of(rule, q, max_degree):
-    radii, weights, angles = complex_coeffs._polar_grid(rule, q)
-    return complex_coeffs._disk_plan(q, max_degree, angles, radii.tobytes(), weights.tobytes())
-
-
 def test_each_rule_gets_its_own_plan():
-    # the plan is keyed on the rule's radii and weights, not on its shape:
-    # Gauss rules of two sizes, then a rule with the first one's shape but
-    # other radii, each match the per-node sum on their own nodes
+    # the plan is keyed on the rule's parameters: rules of two radial sizes
+    # each match the per-node sum on their own nodes, and equal rules built
+    # apart share one plan
     q, max_degree, angles = 3, 12, 56
     phi = disk_from_sequence(random_complex_sequence(q, 8, seed=4))
-    first = disk_quadrature(q, 26, angles)
-    radii, weights, _ = complex_coeffs._polar_grid(first, q)
-    moved = radii**1.1
-    weights = weights * (weights @ radii**2) / (weights @ moved**2)
-    same_shape = QuadratureRule(_polar_nodes(moved, angles), np.repeat(weights, angles))
-    for rule in (first, disk_quadrature(q, 31, angles), same_shape):
+    for radial in (26, 31):
+        rule = disk_quadrature(q, radial, angles)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureResolutionWarning)
             got = compute_complex_coeffs(phi, q, max_degree, rule)
         reference = per_bidegree_sum(phi, q, max_degree, rule)
         assert max(abs(got.get(*k) - v.real) for k, v in reference.items()) <= 1e-12
+        plan = complex_coeffs._disk_plan(rule, max_degree)
+        assert complex_coeffs._disk_plan(disk_quadrature(q, radial, angles), max_degree) is plan
+        assert np.array_equal(plan.nodes, rule.complex_nodes)
 
 
 def test_cold_and_warm_plans_give_identical_coefficients():
@@ -309,12 +298,12 @@ def test_cold_and_warm_plans_give_identical_coefficients():
 
 
 def test_plan_arrays_are_read_only():
-    plan = _plan_of(disk_rule_sized(3, 10), 3, 10)
+    plan = complex_coeffs._disk_plan(disk_rule_sized(3, 10), 10)
     assert len(plan.radial) == 11 and len(plan.keys) == 66
-    for array in (plan.phases, *plan.radial):
+    for array in (plan.nodes, plan.keys, plan.phases, *plan.radial):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
-            array[0, 0] = 1.0
+            array.flat[0] = 1.0
 
 
 def test_reconstruct_with_both_diagonals_at_every_size_matches_per_entry_sum():

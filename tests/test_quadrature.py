@@ -3,7 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from schoenberg import QuadratureRule, disk_quadrature, gauss_jacobi, interval_rule
+from schoenberg import (
+    ComplexSchoenbergSequence,
+    DiskRule,
+    QuadratureRule,
+    RealSchoenbergSequence,
+    QuadratureResolutionWarning,
+    compute_complex_coeffs,
+    compute_real_coeffs,
+    constant_isotropic,
+    disk_constant,
+    disk_from_sequence,
+    disk_quadrature,
+    gauss_jacobi,
+    interval_rule,
+    poisson_isotropic,
+)
 
 
 def beta_moment(k, alpha, beta):
@@ -58,8 +73,8 @@ def test_interval_rule_odd_dimension_stays_in_theta():
 def test_disk_rule_has_unit_mass():
     for q in range(2, 7):
         rule = disk_quadrature(q, 24, 32)
-        assert rule.total_weight == pytest.approx(1.0, abs=1e-13)
-        assert np.all(np.hypot(rule.nodes[:, 0], rule.nodes[:, 1]) <= 1.0)
+        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
+        assert np.all(np.abs(rule.complex_nodes) <= 1.0)
 
 
 def test_rule_validation():
@@ -68,18 +83,76 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(np.array([0.0, 0.5]), np.array([1.0]))
     with pytest.raises(ValueError):
+        QuadratureRule(np.zeros((4, 2)), np.full(4, 0.25))
+    with pytest.raises(ValueError):
         gauss_jacobi(4, -1.0, 0.0)
     with pytest.raises(ValueError):
         interval_rule(0, 8)
     with pytest.raises(ValueError):
         disk_quadrature(1, 8, 8)
+    for radial, angular in ((0, 8), (8, 0)):
+        with pytest.raises(ValueError, match="need at least one node"):
+            disk_quadrature(3, radial, angular)
 
 
 def test_complex_nodes_only_for_disk_rules():
-    with pytest.raises(ValueError):
-        _ = interval_rule(2, 8).complex_nodes
+    assert not hasattr(interval_rule(2, 8), "complex_nodes")
     rule = disk_quadrature(3, 8, 8)
-    assert rule.complex_nodes.shape == (64,)
+    assert rule.complex_nodes.shape == rule.weights.shape == (64,)
+
+
+def polar_nodes(radii, angular_nodes):
+    """x + iy of r e^{2 pi i j / A} for each radius r in turn, j = 0..A-1."""
+    phi = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
+    x = np.outer(radii, np.cos(phi)).ravel()
+    y = np.outer(radii, np.sin(phi)).ravel()
+    return x + 1j * y
+
+
+def test_disk_rule_layout_is_radius_major():
+    # pinned bit for bit: the A angles at each Gauss-Jacobi radius in turn,
+    # each node carrying its circle's mass over A
+    for q, radial, angular in ((2, 3, 6), (3, 8, 12), (100, 118, 32)):
+        rule = disk_quadrature(q, radial, angular)
+        t, mass = gauss_jacobi(radial, q - 2, 0)
+        radii = np.sqrt(0.5 * (1.0 + t))
+        assert np.array_equal(rule.complex_nodes, polar_nodes(radii, angular))
+        assert np.array_equal(rule.weights, np.repeat(mass / angular, angular))
+
+
+def test_disk_rule_is_its_parameters():
+    rule = disk_quadrature(np.int64(3), np.int32(8), 12)
+    assert rule == DiskRule(3, 8, 12) and hash(rule) == hash(DiskRule(3, 8, 12))
+    assert all(type(v) is int for v in (rule.q, rule.radial_nodes, rule.angular_nodes))
+    assert rule != disk_quadrature(4, 8, 12)
+    with pytest.raises(AttributeError):
+        rule.q = 4
+
+
+def test_sphere_parameters_must_be_integers():
+    # each of these once built a rule or returned numbers for a sphere that
+    # does not exist, or failed naming the wrong argument
+    for call, name in (
+        (lambda: disk_quadrature(3.5, 8, 8), "q"),
+        (lambda: disk_quadrature(True, 8, 8), "q"),
+        (lambda: disk_quadrature(3, 8.0, 8), "radial_nodes"),
+        (lambda: disk_quadrature(3, 8, 8.5), "angular_nodes"),
+        (lambda: disk_quadrature(3, 8, True), "angular_nodes"),
+        (lambda: compute_complex_coeffs(disk_constant(), 3.5, 4), "q"),
+        (lambda: compute_real_coeffs(constant_isotropic(), 2.5, 6), "d"),
+        (lambda: compute_real_coeffs(constant_isotropic(), True, 6), "d"),
+        (lambda: interval_rule(np.bool_(True), 8), "d"),
+        (lambda: RealSchoenbergSequence(2.5, [1.0]), "d"),
+        (lambda: RealSchoenbergSequence(True, [1.0]), "d"),
+        (lambda: ComplexSchoenbergSequence(2.5, {(0, 0): 1.0}, 0), "q"),
+        (lambda: ComplexSchoenbergSequence(True, {(0, 0): 1.0}, 0), "q"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+    # numpy integers still work, and come out as plain ints
+    assert compute_complex_coeffs(disk_constant(), np.int64(3), 2).q == 3
+    assert compute_real_coeffs(constant_isotropic(), np.int32(3), 4).d == 3
+    assert len(interval_rule(np.int64(2), 8).nodes) == 8
 
 
 def golub_welsch(n_nodes, alpha, beta):
@@ -160,3 +233,16 @@ def test_gauss_jacobi_rejects_bad_arguments_before_the_cache():
     with pytest.raises(ValueError, match="n_nodes must be an integer, got 8.0"):
         interval_rule(3, 8.0)
     assert len(gauss_jacobi(np.int64(8), 0.5, 0.5)[0]) == 8
+
+
+def test_resolution_warning_points_at_the_caller():
+    # both transforms warn through one helper; the warning must still name
+    # the line that called the transform, not a line inside the package
+    mixture = disk_from_sequence(ComplexSchoenbergSequence(2, {(5, 5): 0.5, (8, 1): 0.5}, 10))
+    for call in (
+        lambda: compute_real_coeffs(poisson_isotropic(0.9), 1, 40, interval_rule(1, 16)),
+        lambda: compute_complex_coeffs(mixture, 2, 10, disk_quadrature(2, 3, 6)),
+    ):
+        with pytest.warns(QuadratureResolutionWarning, match="exceeds 1") as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
