@@ -12,8 +12,6 @@ from .disk_polys import (
     disk_quadrature,
     disk_rule_sized,
     h_norm,
-    jacobi_at_one,
-    jacobi_eval,
 )
 from .functions import (
     DiskFunction,
@@ -33,7 +31,6 @@ from .functions import (
     random_complex_sequence,
     random_real_sequence,
 )
-from .gegenbauer import normalized_gegenbauer
 from .quadrature import (
     QuadratureResolutionWarning,
     QuadratureRule,
@@ -108,13 +105,10 @@ __all__ = [
     "harmonic_dimension",
     "interval_rule",
     "isotropic_from_sequence",
-    "jacobi_at_one",
-    "jacobi_eval",
     "load_sequence",
     "loads_sequence",
     "make_disk",
     "make_isotropic",
-    "normalized_gegenbauer",
     "poisson_circle_coeffs",
     "poisson_isotropic",
     "random_complex_sequence",

@@ -14,8 +14,8 @@ Subcommands::
     selftest     run the built-in invariant suite
 
 Exit codes: 0 success, 1 malformed input JSON (the message names the
-offending field), 2 numerical-validity failure (mass or negativity
-contradictions, or an under-resolved quadrature).
+offending field) or an invalid option value, 2 numerical-validity failure
+(mass or negativity contradictions, or an under-resolved quadrature).
 """
 from __future__ import annotations
 
@@ -172,10 +172,9 @@ def _cmd_spd_check(args) -> int:
     seq = _load(getattr(args, "in"))
     if not isinstance(seq, ComplexSchoenbergSequence):
         raise SequenceFormatError("space", "spd-check expects a complex sequence")
-    try:
-        pattern = support_pattern(seq, args.threshold)
-    except ValueError as exc:
-        raise SequenceValidityError(str(exc)) from exc
+    if not seq.valid_mass:
+        raise SequenceValidityError("spd-check requires a mass-valid sequence")
+    pattern = support_pattern(seq, args.threshold)
     report = check_progressions(pattern, args.K)
     implications = ()
     if args.q_prime is not None:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .disk_polys import DiskRule, _disk_points, disk_rule_sized, h_norm
 from .gegenbauer import _jacobi_sums, _jacobi_table
-from .quadrature import RULE_CACHE_SIZE, _finite_samples, _warn_if_under_resolved
+from .quadrature import RULE_CACHE_SIZE, _finite_samples, _integer, _warn_if_under_resolved
 from .sequences import ComplexSchoenbergSequence, _diagonal_entries, _Entries
 
 __all__ = ["compute_complex_coeffs", "reconstruct_complex"]
@@ -112,6 +112,7 @@ def compute_complex_coeffs(
     returned sequence stores the real parts; the largest dropped imaginary
     magnitude is available as the ``max_imag`` attribute of the result.
     """
+    max_degree = _integer("max_degree", max_degree)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     fn = getattr(phi, "eval", phi)

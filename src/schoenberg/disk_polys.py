@@ -25,9 +25,9 @@ R_{m,n} separates into a radial factor that depends only on (k, |m - n|)
 and an angular factor that depends only on the diagonal l = m - n. The
 radial factors p_0, p_1, ... of one diagonal are the rows of
 ``gegenbauer._jacobi_table``, the normalized recurrence that also builds
-the real-sphere basis. It serves ``jacobi_eval``, ``disk_poly_eval`` and
-the transforms in ``complex_coeffs``, which take a whole diagonal's table
-at once instead of evaluating every R_{m,n} from scratch.
+the real-sphere basis. It serves ``disk_poly_eval`` and the transforms in
+``complex_coeffs``, which take a whole diagonal's table at once instead of
+evaluating every R_{m,n} from scratch.
 
 The product quadrature of nu is a ``DiskRule``, which holds only (q, R, A):
 this module alone knows the layout of its nodes.
@@ -44,8 +44,6 @@ from .quadrature import _integer, gauss_jacobi
 
 __all__ = [
     "DiskRule",
-    "jacobi_eval",
-    "jacobi_at_one",
     "disk_poly_eval",
     "h_norm",
     "disk_quadrature",
@@ -54,27 +52,6 @@ __all__ = [
 
 #: |z| may exceed 1 by at most this before being rejected
 DISK_BOUNDARY_TOL = 1e-12
-
-
-def jacobi_eval(k: int, a: float, b: float, x):
-    """Degree-k Jacobi polynomial with parameters (a, b) > -1, standard scaling.
-
-    ``jacobi_at_one(k, a)`` times the last row of the normalized table;
-    x may be an array.
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    if not (a > -1.0 and b > -1.0):
-        raise ValueError(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
-    return jacobi_at_one(k, a) * _jacobi_table(k, a, b, x)[-1]
-
-
-def jacobi_at_one(k: int, a: float) -> float:
-    """Value of the degree-k Jacobi polynomial at x = 1, i.e. C(k + a, k)."""
-    value = 1.0
-    for i in range(1, k + 1):
-        value *= (a + i) / i
-    return value
 
 
 def _angular(ell: int, z):

@@ -83,10 +83,6 @@ class QuadratureRule:
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
 
 #: Gauss-Jacobi rules kept per process; the least recently used goes first
 RULE_CACHE_SIZE = 32

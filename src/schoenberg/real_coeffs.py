@@ -25,6 +25,7 @@ from .quadrature import (
     RULE_CACHE_SIZE,
     QuadratureRule,
     _finite_samples,
+    _integer,
     _warn_if_under_resolved,
     default_node_count,
     interval_rule,
@@ -103,6 +104,7 @@ def compute_real_coeffs(
     absolute mass exceeds 1 beyond roundoff, the telltale sign of an
     under-resolved rule.
     """
+    truncation = _integer("truncation", truncation)
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     fn = getattr(psi, "eval", psi)

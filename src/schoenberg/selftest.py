@@ -24,7 +24,7 @@ from .functions import (
     random_complex_sequence,
     random_real_sequence,
 )
-from .gegenbauer import gegenbauer_eval, normalized_gegenbauer
+from .gegenbauer import _jacobi_table, normalized_gegenbauer_table
 from .quadrature import QuadratureResolutionWarning
 from .real_coeffs import compute_real_coeffs
 from .sequences import ComplexSchoenbergSequence, RealSchoenbergSequence
@@ -105,35 +105,34 @@ def _legendre(n, x):
 
 
 def _gegenbauer_recurrence(rng, tol):
+    # rows n - 2..n of the table at a = order - 1/2, scaled to 1 at 1: the
+    # Gegenbauer recurrence of that order in its normalized form
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 60))
         order = float(rng.uniform(0.05, 8.0))
         u = float(rng.uniform(-1.0, 1.0))
-        c2 = gegenbauer_eval(n, order, u)
-        c1 = gegenbauer_eval(n - 1, order, u)
-        c0 = gegenbauer_eval(n - 2, order, u)
-        residual = n * c2 - 2.0 * u * (n + order - 1.0) * c1 + (n + 2.0 * order - 2.0) * c0
-        scale = max(abs(n * c2), abs(2 * u * (n + order - 1) * c1), 1.0)
+        c0, c1, c2 = _jacobi_table(n, order - 0.5, order - 0.5, u)[-3:]
+        lead, drop = 2.0 * u * (n + order - 1.0) * c1, (n - 1.0) * c0
+        residual = (n + 2.0 * order - 1.0) * c2 - lead + drop
+        scale = max(abs((n + 2.0 * order - 1.0) * c2), abs(lead), 1.0)
         worst = max(worst, abs(residual) / scale)
     return worst <= tol, f"max relative residual {worst:.2e}"
 
 
 def _legendre_agreement(rng, tol):
+    # the S^2 basis is the Legendre one
     u = rng.uniform(-1.0, 1.0, 64)
-    worst = max(
-        float(np.max(np.abs(gegenbauer_eval(n, 0.5, u) - _legendre(n, u))))
-        for n in range(61)
-    )
+    table = normalized_gegenbauer_table(60, 2, u)
+    worst = max(float(np.max(np.abs(table[n] - _legendre(n, u)))) for n in range(61))
     return worst <= tol, f"max abs difference {worst:.2e}"
 
 
 def _normalized_bound(rng, tol):
     u = np.linspace(-1.0, 1.0, 1001)
-    worst = 0.0
-    for d in (2, 3, 5, 8):
-        for n in range(0, 51, 5):
-            worst = max(worst, float(np.max(np.abs(normalized_gegenbauer(n, d, u)))))
+    worst = max(
+        float(np.max(np.abs(normalized_gegenbauer_table(50, d, u)[::5]))) for d in (2, 3, 5, 8)
+    )
     return worst <= 1.0 + tol, f"max |value| {worst:.15f}"
 
 

@@ -152,19 +152,6 @@ class RealSchoenbergSequence:
     def total_mass(self) -> float:
         return float(self.coeffs.sum())
 
-    @property
-    def tail_mass(self) -> float:
-        """Heuristic unresolved mass, 1 - total, for truncated expansions."""
-        return max(0.0, 1.0 - self.total_mass)
-
-    def padded(self, extra: int) -> "RealSchoenbergSequence":
-        """Same sequence with ``extra`` zero coefficients appended."""
-        if extra < 0:
-            raise ValueError("extra must be nonnegative")
-        return RealSchoenbergSequence(
-            self.d, np.concatenate([self.coeffs, np.zeros(extra)])
-        )
-
     def to_dict(self) -> dict:
         return {
             "space": "real",
@@ -228,6 +215,7 @@ class ComplexSchoenbergSequence:
         object.__setattr__(self, "q", _integer("q", self.q))
         if self.q < 2:
             raise ValueError("q must be >= 2")
+        object.__setattr__(self, "max_degree", _integer("max_degree", self.max_degree))
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         entries = self.entries
@@ -251,11 +239,6 @@ class ComplexSchoenbergSequence:
     @property
     def total_mass(self) -> float:
         return float(sum(self.entries.values()))
-
-    @property
-    def tail_mass(self) -> float:
-        """Heuristic unresolved mass, 1 - total, for truncated expansions."""
-        return max(0.0, 1.0 - self.total_mass)
 
     def get(self, m: int, n: int) -> float:
         return self.entries.get((m, n), 0.0)

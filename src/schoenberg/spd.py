@@ -14,8 +14,11 @@ supplied to it; it never upgrades "consistent" to "strict".
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
+from .quadrature import _integer
 from .sequences import ComplexSchoenbergSequence
 
 __all__ = [
@@ -131,8 +134,12 @@ def support_pattern(
     """Extract the difference set of the coefficients above ``threshold``.
 
     Requires a mass-valid sequence; the diagnostics are statements about
-    nonnegative expansions and are meaningless otherwise.
+    nonnegative expansions and are meaningless otherwise. The threshold
+    must be a finite number >= 0: below 0, roundoff entries count as
+    support.
     """
+    if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
     if not seq.valid_mass:
         raise ValueError("support_pattern requires a mass-valid sequence")
     return SupportPattern(
@@ -150,6 +157,7 @@ def check_progressions(pattern: SupportPattern, max_modulus: int | None = None) 
     """
     if max_modulus is None:
         max_modulus = max(pattern.truncation, 1)
+    max_modulus = _integer("max_modulus", max_modulus)
     if max_modulus < 1:
         raise ValueError("max_modulus must be >= 1")
     diffs = pattern.diffs

@@ -19,8 +19,8 @@ closed form is the series
     V(j, m, n, q) = (q-1)(m+n+q-1) * (m+1)^(j) (n+1)^(j)
                     / ((m+q-1)^(j+1) (n+q-1)^(j+1)),
 
-where x^(j) is the rising factorial; :func:`inverse_walk_weights_complex`
-keeps it as the paper's reference formula. The weights are strictly
+where x^(j) is the rising factorial: the paper's reference formula,
+against which the tests check the solve. The weights are strictly
 positive, which is what makes the support of a nonnegative sequence
 transfer faithfully down the walk: a_{m,n} > 0 exactly when
 a'_{m+j,n+j} > 0 for some j >= 0.
@@ -43,11 +43,7 @@ import numpy as np
 
 from .sequences import ComplexSchoenbergSequence, _diagonal_entries, _Entries
 
-__all__ = [
-    "inverse_walk_weights_complex",
-    "walk_up_complex",
-    "walk_down_complex",
-]
+__all__ = ["walk_up_complex", "walk_down_complex"]
 
 
 def _bands(m, n, q: int):
@@ -56,21 +52,6 @@ def _bands(m, n, q: int):
     drop = (m + 1.0) * (n + 1.0) / ((q - 1.0) * (m + n + q + 1.0))
     # indices past int64 come as object arrays of Python integers
     return np.asarray(lead, dtype=float), np.asarray(drop, dtype=float)
-
-
-def inverse_walk_weights_complex(m: int, n: int, q: int, j_max: int) -> np.ndarray:
-    """Weights V(0..j_max, m, n, q) along the diagonal through (m, n)."""
-    if q < 2:
-        raise ValueError("inverse-walk weights are defined for target q >= 2")
-    if m < 0 or n < 0 or j_max < 0:
-        raise ValueError("m, n and j_max must be nonnegative")
-    v = np.empty(j_max + 1)
-    v[0] = (q - 1.0) * (m + n + q - 1.0) / ((m + q - 1.0) * (n + q - 1.0))
-    for j in range(1, j_max + 1):
-        v[j] = v[j - 1] * (
-            (m + j) * (n + j) / ((m + j + q - 1.0) * (n + j + q - 1.0))
-        )
-    return v
 
 
 def walk_up_complex(seq: ComplexSchoenbergSequence) -> ComplexSchoenbergSequence:

@@ -19,7 +19,7 @@ down. The solve's closed form is the series
     w(j, n, d) = d (2n + d - 1) * prod_{l<j} (n+2l+1)(n+2l+2)
                  / prod_{l<=j} (n+2l+d-1)(n+2l+d),
 
-kept in :func:`inverse_walk_weights` as the paper's reference formula.
+the paper's reference formula, against which the tests check the solve.
 
 The general projection d -> d' (any d' < d) evaluates the coefficient
 integrals of the dimension-d basis functions at dimension d' and combines
@@ -30,17 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _integer
 from .real_coeffs import _project_values, _rule_for
 from .gegenbauer import normalized_gegenbauer_table
 from .sequences import RealSchoenbergSequence
 
-__all__ = [
-    "inverse_walk_weights",
-    "walk_up",
-    "walk_down",
-    "cross_project",
-]
+__all__ = ["walk_up", "walk_down", "cross_project"]
 
 
 def _bands(d: int, size: int):
@@ -50,22 +45,6 @@ def _bands(d: int, size: int):
     lead[1:] = (n[1:] + d - 1.0) * (n[1:] + d) / (d * (2.0 * n[1:] + d - 1.0))
     drop = (n + 1.0) * (n + 2.0) / (d * (2.0 * n + d + 3.0))
     return lead, drop
-
-
-def inverse_walk_weights(n: int, d: int, j_max: int) -> np.ndarray:
-    """Weights w(0..j_max, n, d), by the stable ratio recurrence."""
-    if d < 2:
-        raise ValueError("inverse-walk weights are defined for target d >= 2")
-    if n < 0 or j_max < 0:
-        raise ValueError("n and j_max must be nonnegative")
-    w = np.empty(j_max + 1)
-    w[0] = d * (2.0 * n + d - 1.0) / ((n + d - 1.0) * (n + d))
-    for j in range(1, j_max + 1):
-        w[j] = w[j - 1] * (
-            (n + 2.0 * j - 1.0) * (n + 2.0 * j)
-            / ((n + 2.0 * j + d - 1.0) * (n + 2.0 * j + d))
-        )
-    return w
 
 
 def walk_up(seq: RealSchoenbergSequence) -> RealSchoenbergSequence:
@@ -102,8 +81,7 @@ def walk_down(
     if seq.d < 3:
         raise ValueError("walk_down needs input dimension >= 3")
     n_in = seq.truncation
-    if n_out is None:
-        n_out = n_in
+    n_out = n_in if n_out is None else _integer("n_out", n_out)
     if n_out < 0:
         raise ValueError(f"n_out must be nonnegative, got {n_out}")
     if not tail_tol >= 0.0:

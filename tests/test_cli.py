@@ -217,6 +217,18 @@ def test_spd_check_rejects_invalid_mass(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+def test_spd_check_refuses_bad_threshold(capsys, tmp_path, threshold):
+    # |z|^2 at q = 2 has roundoff entries of about 1e-17 off its diagonal
+    seqfile = tmp_path / "zz.json"
+    run(capsys, "ccoeffs", "--family", "disk-monomial", "--m", "1", "--n", "1",
+        "--q", "2", "--M", "4", "--out", str(seqfile))
+    code, out, err = run(capsys, "spd-check", "--in", str(seqfile), "--K", "4",
+                         "--threshold", threshold)
+    assert code == 1
+    assert out == "" and "threshold" in err
+
+
 def test_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "walk-up", "--in", str(tmp_path / "nope.json"))
     assert code == 1

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from schoenberg import (
-    disk_poly_eval,
-    disk_quadrature,
-    h_norm,
-    jacobi_at_one,
-    jacobi_eval,
-)
+from schoenberg import disk_poly_eval, disk_quadrature, h_norm
 
 
 def random_disk_points(rng, size):
@@ -19,23 +13,23 @@ def random_disk_points(rng, size):
 
 
 def test_jacobi_low_degrees():
-    x = np.linspace(-1.0, 1.0, 9)
-    assert np.allclose(jacobi_eval(0, 1.0, 2.0, x), 1.0)
-    # degree one: ((a + b + 2) x + a - b) / 2
-    assert np.allclose(jacobi_eval(1, 1.0, 2.0, x), (5.0 * x - 1.0) / 2.0)
-    assert jacobi_at_one(3, 2.0) == pytest.approx(10.0)  # C(5, 3)
-
-
-def test_jacobi_eval_rejects_parameters_at_or_below_minus_one():
-    for a, b, name in ((-1.0, 0.0, "a=-1.0"), (0.0, -1.5, "b=-1.5")):
-        with pytest.raises(ValueError, match=name):
-            jacobi_eval(2, a, b, 0.5)
+    # radial factors of degree 1, p_1 = ((a + b + 2) x + a - b) / (2a + 2) at
+    # x = 2|z|^2 - 1: R_{1,1} = ((alpha + 2) s - 1) / (alpha + 1) and
+    # R_{2,1} = z ((alpha + 3) s - 2) / (alpha + 1), with s = |z|^2
+    z = random_disk_points(np.random.default_rng(5), 40)
+    s = np.abs(z) ** 2
+    for alpha in (0, 1, 3):
+        expected = ((alpha + 2) * s - 1) / (alpha + 1)
+        assert np.allclose(disk_poly_eval(1, 1, alpha, z), expected, atol=1e-15)
+        expected = z * ((alpha + 3) * s - 2) / (alpha + 1)
+        assert np.allclose(disk_poly_eval(2, 1, alpha, z), expected, atol=1e-15)
 
 
 def test_jacobi_legendre_special_case():
-    x = np.linspace(-1.0, 1.0, 33)
-    p2 = jacobi_eval(2, 0.0, 0.0, x)
-    assert np.allclose(p2, 0.5 * (3.0 * x**2 - 1.0), atol=1e-14)
+    # at alpha = 0 the diagonal radial factors are Legendre's, in x = 2|z|^2 - 1
+    z = random_disk_points(np.random.default_rng(6), 33)
+    x = 2.0 * np.abs(z) ** 2 - 1.0
+    assert np.allclose(disk_poly_eval(2, 2, 0, z), 0.5 * (3.0 * x**2 - 1.0), atol=1e-14)
 
 
 def test_disk_poly_constant_and_monomials():

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from schoenberg import interval_rule, normalized_gegenbauer
-from schoenberg.gegenbauer import (
-    _jacobi_table,
-    gegenbauer_at_one,
-    gegenbauer_eval,
-    normalized_gegenbauer_table,
-    order_for_dimension,
-)
+from schoenberg import interval_rule
+from schoenberg.gegenbauer import _as_unit_interval, _jacobi_table, normalized_gegenbauer_table
 
 
 def legendre_eval(n, x):
@@ -27,66 +21,105 @@ def legendre_eval(n, x):
     return p_cur
 
 
+def normalized_gegenbauer(n: int, d: int, u):
+    """Normalized basis polynomial for dimension d, equal to 1 at u = 1.
+
+    For d >= 2 this is the order-(d-1)/2 Gegenbauer polynomial divided by
+    its value at 1; for d = 1 it is ``cos(n * arccos(u))``.
+    """
+    if d < 1:
+        raise ValueError("dimension d must be >= 1")
+    if n < 0:
+        raise ValueError("degree n must be nonnegative")
+    scalar = np.ndim(u) == 0
+    u = _as_unit_interval(u)
+    if d == 1:
+        out = np.cos(n * np.arccos(u))
+        return float(out) if scalar else out
+    out = _normalized_recurrence(n, 0.5 * (d - 1), u)
+    return float(out) if scalar else out
+
+
+def _normalized_recurrence(n: int, order: float, u):
+    # Same recurrence rewritten for P_k / P_k(1); keeps every iterate in
+    # [-1, 1], so it cannot overflow at any degree.
+    c_prev = np.ones_like(u)
+    if n == 0:
+        return c_prev
+    c_cur = u.copy()
+    for k in range(2, n + 1):
+        c_prev, c_cur = c_cur, (
+            2.0 * u * (k + order - 1.0) * c_cur - (k - 1.0) * c_prev
+        ) / (k + 2.0 * order - 1.0)
+    return c_cur
+
+
 def test_degree_zero_is_one():
-    assert gegenbauer_eval(0, 0.5, 0.3) == 1.0
+    x = np.linspace(-1.0, 1.0, 9)
+    for a, b in ((-0.5, -0.5), (0.5, 0.5), (1.0, 2.0), (0.0, 7.0)):
+        assert np.array_equal(_jacobi_table(0, a, b, x)[0], np.ones_like(x))
 
 
 def test_degree_one_is_linear():
-    assert gegenbauer_eval(1, 0.5, 0.3) == pytest.approx(0.3, abs=1e-15)
-    assert gegenbauer_eval(1, 2.0, -0.25) == pytest.approx(-1.0, abs=1e-15)
+    # P_1 = ((a + b + 2) x + a - b) / 2 over its value a + 1 at x = 1
+    x = np.linspace(-1.0, 1.0, 9)
+    for a, b in ((-0.5, -0.5), (2.0, 2.0), (1.0, 2.0), (0.0, 7.0)):
+        expected = ((a + b + 2.0) * x + a - b) / (2.0 * a + 2.0)
+        assert np.allclose(_jacobi_table(1, a, b, x)[1], expected, atol=1e-15)
 
 
 def test_order_half_matches_legendre_p2():
-    # P_2(u) = (3u^2 - 1) / 2 at u = 0.5
-    assert gegenbauer_eval(2, 0.5, 0.5) == pytest.approx(-0.125, abs=1e-15)
-
-
-def test_at_one_trivials():
-    assert gegenbauer_at_one(0, 3.7) == 1.0
-    assert gegenbauer_at_one(1, 0.5) == pytest.approx(1.0)
+    # the S^2 basis is Legendre's: P_2(u) = (3u^2 - 1) / 2 at u = 0.5
+    assert normalized_gegenbauer_table(2, 2, 0.5)[2, 0] == pytest.approx(-0.125, abs=1e-15)
 
 
 def test_at_one_chebyshev_second_kind():
-    # order 1 value at u = 1 equals n + 1
-    assert gegenbauer_at_one(3, 1.0) == pytest.approx(4.0)
+    # order 1 (S^3) is Chebyshev's second kind over its value n + 1 at one:
+    # U_n(cos theta) / (n + 1) = sin((n + 1) theta) / ((n + 1) sin theta)
+    theta = np.linspace(0.05, np.pi - 0.05, 41)
+    table = normalized_gegenbauer_table(30, 3, np.cos(theta))
+    for n in range(31):
+        expected = np.sin((n + 1) * theta) / ((n + 1) * np.sin(theta))
+        assert np.max(np.abs(table[n] - expected)) <= 1e-13, n
 
 
 def test_at_one_stays_finite_at_large_degree():
-    value = gegenbauer_at_one(10_000, 2.5)
-    assert np.isfinite(value) and value > 0
+    table = normalized_gegenbauer_table(10_000, 6, np.array([1.0, 0.3, -1.0]))
+    assert np.all(np.isfinite(table)) and np.max(np.abs(table)) <= 1.0 + 1e-12
+    # the value at one drifts by about one rounding per degree: 3.4e-12 here
+    assert np.allclose(table[:, 0], 1.0, rtol=0.0, atol=1e-11)
 
 
 def test_legendre_agreement_up_to_degree_60():
     rng = np.random.default_rng(11)
     u = rng.uniform(-1.0, 1.0, 200)
+    table = normalized_gegenbauer_table(60, 2, u)
     for n in range(61):
-        got = gegenbauer_eval(n, 0.5, u)
-        assert np.max(np.abs(got - legendre_eval(n, u))) <= 1e-13
+        assert np.max(np.abs(table[n] - legendre_eval(n, u))) <= 1e-13
 
 
 def test_normalized_is_one_at_one():
     for d in (1, 2, 3, 5, 9):
-        for n in (0, 1, 4, 17):
-            assert normalized_gegenbauer(n, d, 1.0) == pytest.approx(1.0, abs=1e-12)
+        table = normalized_gegenbauer_table(17, d, 1.0)
+        assert np.allclose(table[[0, 1, 4, 17], 0], 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_normalized_degree_one_is_identity_for_every_dimension():
     u = np.linspace(-1.0, 1.0, 11)
     for d in (2, 3, 4, 7):
-        assert np.allclose(normalized_gegenbauer(1, d, u), u, atol=1e-15)
+        assert np.allclose(normalized_gegenbauer_table(1, d, u)[1], u, atol=1e-15)
 
 
 def test_circle_case_is_cosine():
     theta = np.linspace(0.0, np.pi, 50)
-    got = normalized_gegenbauer(4, 1, np.cos(theta))
+    got = normalized_gegenbauer_table(4, 1, np.cos(theta))[4]
     assert np.max(np.abs(got - np.cos(4 * theta))) <= 1e-12
 
 
 def test_normalized_bounded_by_one_on_grid():
     u = np.linspace(-1.0, 1.0, 1001)
     for d in (2, 3, 4, 6, 11):
-        for n in range(51):
-            assert np.max(np.abs(normalized_gegenbauer(n, d, u))) <= 1.0 + 1e-12
+        assert np.max(np.abs(normalized_gegenbauer_table(50, d, u))) <= 1.0 + 1e-12
 
 
 @seed(101)
@@ -97,11 +130,13 @@ def test_normalized_bounded_by_one_on_grid():
     u=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_three_term_recurrence_residual(n, order, u):
-    c2 = gegenbauer_eval(n, order, u)
-    c1 = gegenbauer_eval(n - 1, order, u)
-    c0 = gegenbauer_eval(n - 2, order, u)
-    residual = n * c2 - 2.0 * u * (n + order - 1.0) * c1 + (n + 2.0 * order - 2.0) * c0
-    scale = max(abs(n * c2), abs(2.0 * u * (n + order - 1.0) * c1), 1.0)
+    # the table at a = order - 1/2 is the Gegenbauer polynomial of that order
+    # over its value at 1, whose recurrence is
+    # (n + 2 order - 1) c_n = 2 u (n + order - 1) c_{n-1} - (n - 1) c_{n-2}
+    c0, c1, c2 = _jacobi_table(n, order - 0.5, order - 0.5, u)[-3:]
+    lead = 2.0 * u * (n + order - 1.0) * c1
+    residual = (n + 2.0 * order - 1.0) * c2 - lead + (n - 1.0) * c0
+    scale = max(abs((n + 2.0 * order - 1.0) * c2), abs(lead), 1.0)
     assert abs(residual) / scale <= 1e-12
 
 
@@ -121,36 +156,30 @@ def test_table_rows_match_scalar_evaluator():
 
 
 def test_boundary_clamping_tolerates_roundoff():
-    assert normalized_gegenbauer(3, 2, 1.0 + 5e-13) == pytest.approx(1.0)
+    assert normalized_gegenbauer_table(3, 2, 1.0 + 5e-13)[3, 0] == pytest.approx(1.0)
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        gegenbauer_eval(2, 0.5, 1.1)
-    with pytest.raises(ValueError):
-        gegenbauer_eval(2, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        gegenbauer_eval(-1, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        normalized_gegenbauer(2, 0, 0.5)
-    with pytest.raises(ValueError):
-        order_for_dimension(1)
+    with pytest.raises(ValueError, match="u must lie"):
+        normalized_gegenbauer_table(2, 2, 1.1)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        normalized_gegenbauer_table(2, 0, 0.5)
 
 
 def test_nan_argument_is_rejected():
     with pytest.raises(ValueError, match="u.*nan"):
-        normalized_gegenbauer(3, 4, float("nan"))
+        normalized_gegenbauer_table(3, 4, float("nan"))
 
 
 def test_reentrant_under_threads():
-    # evaluators are pure; concurrent calls must agree with serial ones
+    # the table is pure; concurrent calls must agree with serial ones
     from concurrent.futures import ThreadPoolExecutor
 
     u = np.linspace(-1.0, 1.0, 257)
     jobs = [(n, d) for n in (3, 10, 25) for d in (2, 3, 5)]
-    serial = [normalized_gegenbauer(n, d, u) for n, d in jobs]
+    serial = [normalized_gegenbauer_table(n, d, u) for n, d in jobs]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda nd: normalized_gegenbauer(*nd, u), jobs))
+        parallel = list(pool.map(lambda nd: normalized_gegenbauer_table(*nd, u), jobs))
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
 

@@ -9,6 +9,7 @@ from schoenberg import (
     QuadratureRule,
     RealSchoenbergSequence,
     QuadratureResolutionWarning,
+    check_progressions,
     compute_complex_coeffs,
     compute_real_coeffs,
     constant_isotropic,
@@ -18,6 +19,8 @@ from schoenberg import (
     gauss_jacobi,
     interval_rule,
     poisson_isotropic,
+    support_pattern,
+    walk_down,
 )
 
 
@@ -43,13 +46,13 @@ def test_gauss_jacobi_integrates_polynomials_exactly():
 def test_interval_rule_has_unit_mass_in_u():
     for d in range(1, 8):
         rule = interval_rule(d, 32)
-        assert rule.total_weight == pytest.approx(1.0, abs=1e-13)
+        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.all(np.abs(rule.nodes) < 1.0)
 
 
 def test_interval_rule_even_dimension_uses_cos_substitution():
     rule = interval_rule(4, 32)
-    assert rule.total_weight == pytest.approx(1.0, abs=1e-13)
+    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
     assert np.all(np.abs(rule.nodes) < 1.0)
     # nodes are u = cos(theta) under the S^4 measure: symmetric about 0,
     # with E[u^2] = 1 / (d + 1) on S^d
@@ -63,7 +66,7 @@ def test_interval_rule_odd_dimension_stays_in_theta():
     for d in (1, 3, 5):
         rule = interval_rule(d, 32)
         theta = np.arccos(rule.nodes)
-        assert rule.total_weight == pytest.approx(1.0, abs=1e-13)
+        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.all((theta > 0.0) & (theta < np.pi))
         # E[cos(2 theta)] = 2 E[u^2] - 1 = (1 - d) / (d + 1) on S^d
         mean = np.sum(rule.weights * np.cos(2.0 * theta))
@@ -153,6 +156,27 @@ def test_sphere_parameters_must_be_integers():
     assert compute_complex_coeffs(disk_constant(), np.int64(3), 2).q == 3
     assert compute_real_coeffs(constant_isotropic(), np.int32(3), 4).d == 3
     assert len(interval_rule(np.int64(2), 8).nodes) == 8
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("truncation", lambda v: compute_real_coeffs(constant_isotropic(), 3, v)),
+        ("max_degree", lambda v: compute_complex_coeffs(disk_constant(), 3, v)),
+        ("max_degree", lambda v: ComplexSchoenbergSequence(3, {}, v)),
+        ("n_out", lambda v: walk_down(RealSchoenbergSequence(5, [0.5, 0.5, 0.0]), n_out=v)),
+        ("max_modulus", lambda v: check_progressions(
+            support_pattern(ComplexSchoenbergSequence(2, {(0, 0): 1.0}, 2)), v)),
+    ],
+    ids=["real-coeffs", "complex-coeffs", "complex-sequence", "walk-down", "progressions"],
+)
+def test_degree_arguments_must_be_integers(name, call, value):
+    # a fractional degree once sized a rule from it, built a sequence with
+    # it, or failed with a bare TypeError; a boolean passed as 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(value)
+    call(np.int64(2))
 
 
 def golub_welsch(n_nodes, alpha, beta):

@@ -30,21 +30,6 @@ def test_real_validity_flag():
     assert RealSchoenbergSequence(2, np.array([1.0, -1e-13])).valid_mass
 
 
-def test_real_padded_appends_zeros():
-    seq = RealSchoenbergSequence(3, np.array([0.25, 0.75]))
-    padded = seq.padded(2)
-    assert padded.truncation == 3
-    assert padded.coeffs[-2:].tolist() == [0.0, 0.0]
-    assert padded.total_mass == pytest.approx(seq.total_mass)
-
-
-def test_tail_mass_heuristic():
-    assert RealSchoenbergSequence(2, np.array([0.7, 0.2])).tail_mass == pytest.approx(0.1)
-    assert RealSchoenbergSequence(2, np.array([0.7, 0.5])).tail_mass == 0.0
-    seq = ComplexSchoenbergSequence(2, {(0, 0): 0.75}, 2)
-    assert seq.tail_mass == pytest.approx(0.25)
-
-
 def test_real_json_schema():
     seq = RealSchoenbergSequence(3, np.array([0.25, 0.5, 0.25]))
     data = json.loads(seq.dumps())

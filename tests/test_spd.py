@@ -35,6 +35,13 @@ def test_support_pattern_applies_threshold():
     assert support_pattern(seq, threshold=1e-12).diffs == frozenset({0, 3})
 
 
+@pytest.mark.parametrize("threshold", [-1.0, -1e-17, float("nan"), float("inf"), None])
+def test_support_pattern_refuses_bad_threshold(threshold):
+    # below 0, roundoff entries would count as support
+    with pytest.raises(ValueError, match="^threshold must be a finite number >= 0"):
+        support_pattern(diagonal_sequence(), threshold)
+
+
 def test_support_pattern_requires_valid_mass():
     bad = ComplexSchoenbergSequence(2, {(0, 0): 2.0}, 2)
     with pytest.raises(ValueError):

@@ -14,7 +14,21 @@ from schoenberg import (
     walk_up_complex,
 )
 from schoenberg.cli import main
-from schoenberg.walk_complex import inverse_walk_weights_complex
+
+
+def inverse_walk_weights_complex(m: int, n: int, q: int, j_max: int) -> np.ndarray:
+    """Weights V(0..j_max, m, n, q) along the diagonal through (m, n)."""
+    if q < 2:
+        raise ValueError("inverse-walk weights are defined for target q >= 2")
+    if m < 0 or n < 0 or j_max < 0:
+        raise ValueError("m, n and j_max must be nonnegative")
+    v = np.empty(j_max + 1)
+    v[0] = (q - 1.0) * (m + n + q - 1.0) / ((m + q - 1.0) * (n + q - 1.0))
+    for j in range(1, j_max + 1):
+        v[j] = v[j - 1] * (
+            (m + j) * (n + j) / ((m + j + q - 1.0) * (n + j + q - 1.0))
+        )
+    return v
 
 
 def entry_error(a, b) -> float:

