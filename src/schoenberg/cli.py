@@ -14,8 +14,9 @@ Subcommands::
     selftest     run the built-in invariant suite
 
 Exit codes: 0 success, 1 malformed input JSON (the message names the
-offending field) or an invalid option value, 2 numerical-validity failure
-(mass or negativity contradictions, or an under-resolved quadrature).
+offending field) or a usage error such as an invalid option value, 2
+numerical-validity failure (mass or negativity contradictions, or an
+under-resolved quadrature).
 """
 from __future__ import annotations
 
@@ -139,9 +140,7 @@ _WALKS = {
     "walk-up": (RealSchoenbergSequence, lambda seq, args: walk_up(seq)),
     "walk-down": (RealSchoenbergSequence, lambda seq, args: walk_down(
         seq, n_out=args.N_out, tail_tol=args.tail_tol)),
-    "project": (RealSchoenbergSequence, lambda seq, args: cross_project(
-        seq, args.d_prime,
-        interval_rule(args.d_prime, args.nodes) if args.nodes is not None else None)),
+    "project": (RealSchoenbergSequence, lambda seq, args: cross_project(seq, args.d_prime)),
     "cwalk-up": (ComplexSchoenbergSequence, lambda seq, args: walk_up_complex(seq)),
     "cwalk-down": (ComplexSchoenbergSequence, lambda seq, args: walk_down_complex(
         seq, tail_tol=args.tail_tol)),
@@ -203,8 +202,16 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDITY
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, as an invalid option value does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FORMAT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schoenberg",
         description="Coefficient sequences of positive definite functions on spheres",
     )
@@ -254,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="real sequence d -> d' for any d' < d")
     p.add_argument("--in", required=True)
     p.add_argument("--d-prime", dest="d_prime", type=int, required=True)
-    p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_walk)
 

@@ -80,6 +80,7 @@ def disk_poly_eval(m: int, n: int, alpha: int, z):
     margin is clamped). The radial part is evaluated in s = |z|^2, keeping
     full accuracy near the rim.
     """
+    m, n = _integer("m", m), _integer("n", n)
     if m < 0 or n < 0 or alpha < 0:
         raise ValueError("m, n and alpha must all be nonnegative")
     scalar = np.ndim(z) == 0
@@ -91,6 +92,7 @@ def disk_poly_eval(m: int, n: int, alpha: int, z):
 
 def h_norm(m: int, n: int, q: int) -> float:
     """Reciprocal squared norm of the (m, n) disk polynomial at parameter q - 2."""
+    m, n, q = _integer("m", m), _integer("n", n), _integer("q", q)
     if q < 2:
         raise ValueError("q must be >= 2")
     if m < 0 or n < 0:

@@ -42,6 +42,7 @@ def harmonic_dimension(n: int, d: int) -> float:
     log-gamma so large dimensions cannot overflow; N(1, n) is 1 for n = 0
     and 2 otherwise.
     """
+    n, d = _integer("n", n), _integer("d", d)
     if d < 1:
         raise ValueError("dimension d must be >= 1")
     if n < 0:
@@ -77,17 +78,6 @@ def _harmonic_dimensions(d: int, truncation: int) -> np.ndarray:
     return scale
 
 
-def _project_values(values: np.ndarray, d: int, truncation: int, rule: QuadratureRule) -> np.ndarray:
-    """Coefficient vectors for function samples taken on the rule's nodes.
-
-    ``values`` has shape ``(..., K)`` with K the node count; one coefficient
-    array of length ``truncation + 1`` is produced per leading row.
-    """
-    scale = _harmonic_dimensions(d, truncation)
-    basis = normalized_gegenbauer_table(truncation, d, rule.nodes)
-    return scale * ((np.asarray(values, dtype=float) * rule.weights) @ basis.T)
-
-
 def compute_real_coeffs(
     psi,
     d: int,
@@ -110,7 +100,8 @@ def compute_real_coeffs(
     fn = getattr(psi, "eval", psi)
     rule = _rule_for(d, truncation, rule)
     values = _finite_samples(fn, np.arccos(rule.nodes), float, "psi", "theta")
-    coeffs = _project_values(values, d, truncation, rule)
+    basis = normalized_gegenbauer_table(truncation, d, rule.nodes)
+    coeffs = _harmonic_dimensions(d, truncation) * ((values * rule.weights) @ basis.T)
     _warn_if_under_resolved(coeffs)
     return RealSchoenbergSequence(d, coeffs)
 

@@ -21,18 +21,23 @@ down. The solve's closed form is the series
 
 the paper's reference formula, against which the tests check the solve.
 
-The general projection d -> d' (any d' < d) evaluates the coefficient
-integrals of the dimension-d basis functions at dimension d' and combines
-them linearly; it must agree with reconstructing and recomputing, and with
-the inverse walk when d' = d - 2.
+The general projection d -> d' < d is exact and runs no quadrature. With
+lambda = (d-1)/2 and mu = (d'-1)/2, Askey's connection formula (Askey 1975,
+Orthogonal Polynomials and Special Functions, SIAM, Lecture 7)
+
+    C^lambda_n = sum_k (lambda)_{n-k} (lambda-mu)_k (n-2k+mu)
+                       / ((mu)_{n-k+1} k!) * C^mu_{n-2k}
+
+has only nonnegative terms for lambda > mu. Rescaled to the normalized
+c_n, it writes each c_n at d as a convex combination of the c_{n-2k} at d'
+(the weights add up to c_n(1) = 1), so no product overflows and no sum
+cancels.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import QuadratureRule, _integer
-from .real_coeffs import _project_values, _rule_for
-from .gegenbauer import normalized_gegenbauer_table
+from .quadrature import _integer
 from .sequences import RealSchoenbergSequence
 
 __all__ = ["walk_up", "walk_down", "cross_project"]
@@ -97,24 +102,30 @@ def walk_down(
     return RealSchoenbergSequence(seq.d - 2, out[: n_out + 1], tail_bound=tail)
 
 
-def cross_project(
-    seq: RealSchoenbergSequence,
-    d_prime: int,
-    rule: QuadratureRule | None = None,
-) -> RealSchoenbergSequence:
-    """Project a dimension-d sequence to any lower dimension d'.
+def cross_project(seq: RealSchoenbergSequence, d_prime: int) -> RealSchoenbergSequence:
+    """Project a dimension-d sequence to any lower dimension d', exactly.
 
-    Works term by term: each dimension-d basis polynomial is run through
-    the dimension-d' coefficient integrals, and the resulting coefficient
-    vectors are combined with the input weights. Reconstructing the
-    function and recomputing its coefficients at d' is the independent
-    route and the two must agree to quadrature accuracy. A given ``rule``
-    must come from ``interval_rule(d_prime, K)``.
+    Computes b'_j = sum_k W(j, k) b_{j+2k}, with W(j, k) >= 0 the weight of
+    c_j at d' in c_{j+2k} at d from Askey's formula, as cumulative products
+    in lambda = (d-1)/2, mu = (d'-1)/2 and n = j + 2k (mu = 0 included):
+
+        W(j, 0) = prod_{0<i<j} (lambda+i)(2mu+i) / ((2lambda+i)(mu+i)),
+        W(j, k+1) / W(j, k) = (lambda+j+k)(lambda-mu+k)(n+1)(n+2)
+                              / ((mu+j+k+1)(k+1)(2lambda+n)(2lambda+n+1)).
     """
+    d_prime = _integer("d_prime", d_prime)
     if not 1 <= d_prime < seq.d:
         raise ValueError("cross_project requires 1 <= d_prime < seq.d")
-    truncation = seq.truncation
-    rule = _rule_for(d_prime, truncation, rule)
-    basis_rows = normalized_gegenbauer_table(truncation, seq.d, rule.nodes)
-    per_basis = _project_values(basis_rows, d_prime, truncation, rule)
-    return RealSchoenbergSequence(d_prime, seq.coeffs @ per_basis)
+    lam, mu = (seq.d - 1) / 2.0, (d_prime - 1) / 2.0
+    size = seq.truncation + 1
+    j = np.arange(size, dtype=float)[:, None]
+    k = np.arange((size + 1) // 2, dtype=float)
+    n = j + 2.0 * k
+    i = j[1:-1, 0]
+    top = np.ones(size)
+    top[2:] = np.cumprod((lam + i) * (2.0 * mu + i) / ((2.0 * lam + i) * (mu + i)))
+    step = ((lam + j + k) * (lam - mu + k) * (n + 1.0) * (n + 2.0)
+            / ((mu + j + k + 1.0) * (k + 1.0) * (2.0 * lam + n) * (2.0 * lam + n + 1.0)))
+    weights = np.cumprod(np.concatenate([top[:, None], step[:, :-1]], axis=1), axis=1)
+    padded = np.concatenate([seq.coeffs, np.zeros(size)])
+    return RealSchoenbergSequence(d_prime, (weights * padded[n.astype(int)]).sum(axis=1))

@@ -299,9 +299,22 @@ def test_zero_nodes_exits_1(capsys, tmp_path):
     for argv in (
         ("coeffs", "--family", "poisson", "--r", "0.5", "--d", "3", "--N", "8"),
         ("ccoeffs", "--family", "disk-monomial", "--m", "1", "--n", "1", "--q", "3", "--M", "4"),
-        ("project", "--in", str(src), "--d-prime", "2"),
     ):
         code, _, err = run(capsys, *argv, "--nodes", "0", "--out", str(tmp_path / "o.json"))
         assert code == 1, argv
         assert "need at least one node" in err
         assert not (tmp_path / "o.json").exists()
+
+
+def test_usage_errors_exit_1(capsys, tmp_path):
+    # a usage error is a malformed option, not a validity failure (exit 2)
+    src = tmp_path / "seq.json"
+    random_real_sequence(4, 8, seed=1).save(src)
+    for argv in (
+        ("spd-check", "--in", str(src), "--K", "2.5"),
+        ("project", "--in", str(src), "--d-prime", "2", "--nodes", "8"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err

@@ -99,6 +99,10 @@ def test_h_norm_values_and_symmetry():
                 assert h_norm(m, n, q) == h_norm(n, m, q)
     with pytest.raises(ValueError):
         h_norm(0, 0, 1)
+    for bad in (2.5, True):
+        for args in ((bad, 0, 3), (0, bad, 3), (0, 0, bad)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                h_norm(*args)
 
 
 def test_orthogonality_against_h():
@@ -128,6 +132,10 @@ def test_domain_rejection():
         disk_poly_eval(1, 0, 0, 1.1 + 0.0j)
     with pytest.raises(ValueError):
         disk_poly_eval(-1, 0, 0, 0.0j)
+    for bad in (2.5, True):
+        for m, n in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                disk_poly_eval(m, n, 1, 0.5 + 0.1j)
     # boundary roundoff is clamped
     assert disk_poly_eval(2, 1, 1, 1.0 + 5e-13 + 0.0j) == pytest.approx(1.0)
 

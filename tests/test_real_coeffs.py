@@ -40,6 +40,11 @@ def test_harmonic_dimension_rejects_bad_arguments():
         harmonic_dimension(0, 0)
     with pytest.raises(ValueError):
         harmonic_dimension(-1, 2)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            harmonic_dimension(bad, 3)
+        with pytest.raises(ValueError, match="d must be an integer"):
+            harmonic_dimension(3, bad)
 
 
 def test_kappa_orthonormality_oracle():

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -9,6 +12,7 @@ from schoenberg import (
     cross_project,
     isotropic_from_sequence,
     poisson_circle_coeffs,
+    poisson_isotropic,
     random_real_sequence,
     reconstruct,
     walk_down,
@@ -167,8 +171,6 @@ def test_inverse_weights_sum_to_one_along_support():
 def test_walk_down_reports_unresolved_tail():
     # geometric input truncated mid-decay: the boundary entries are not
     # negligible and the diagnostic must say so
-    from schoenberg import poisson_isotropic
-
     seq = compute_real_coeffs(poisson_isotropic(0.6), 3, 24)
     down = walk_down(seq)
     assert down.tail_bound > 0.0
@@ -233,12 +235,13 @@ def test_cross_project_agrees_with_recompute_path():
 
 def test_cross_project_agrees_with_walk_down():
     rng = np.random.default_rng(9)
-    for d in (4, 5, 6):
-        seq = random_real_sequence(d, 12, int(rng.integers(2**31)), pad=2)
+    cases = [(d, 12) for d in (4, 5, 6)] + [(d, n) for d in (3, 41, 101, 201) for n in (40, 200)]
+    for d, n in cases:
+        seq = random_real_sequence(d, n, int(rng.integers(2**31)), pad=2)
         up = walk_up(seq)  # gives a (d, d - 2) pair via the exact inverse
         projected = cross_project(up, d)
         recovered = walk_down(up, n_out=up.truncation)
-        assert np.max(np.abs(projected.coeffs - recovered.coeffs)) <= 1e-9
+        assert np.max(np.abs(projected.coeffs - recovered.coeffs)) <= 1e-15, (d, n)
 
 
 def test_cross_project_validates_dimensions():
@@ -247,3 +250,67 @@ def test_cross_project_validates_dimensions():
         cross_project(seq, 3)
     with pytest.raises(ValueError):
         cross_project(seq, 0)
+    for d_prime in (2.5, True):
+        with pytest.raises(ValueError, match="d_prime must be an integer"):
+            cross_project(seq, d_prime)
+
+
+def pochhammer(a, m):
+    out = Fraction(1)
+    for i in range(m):
+        out *= a + i
+    return out
+
+
+def askey_weight(d, d_prime, j, k):
+    """Exact weight of c_j at d' in c_{j+2k} at d, from Askey's connection formula.
+
+    C^lam_n = sum_k (lam)_{n-k} (lam-mu)_k (n-2k+mu) / ((mu)_{n-k+1} k!) C^mu_{n-2k},
+    rescaled by C^mu_j(1) / C^lam_n(1) with C^a_n(1) = (2a)_n / n!; the factor
+    mu shared by (2mu)_j and (mu)_{n-k+1} is cancelled so that mu = 0 is exact.
+    """
+    lam, mu = Fraction(d - 1, 2), Fraction(d_prime - 1, 2)
+    n = j + 2 * k
+    if j == 0:
+        low = 1 / pochhammer(mu + 1, n - k)
+    else:
+        low = (j + mu) * 2 * pochhammer(2 * mu + 1, j - 1) / (
+            pochhammer(mu + 1, n - k) * factorial(j))
+    high = pochhammer(lam, n - k) * pochhammer(lam - mu, k) * factorial(n) / (
+        factorial(k) * pochhammer(2 * lam, n))
+    return high * low
+
+
+def test_cross_project_matches_exact_connection_sum():
+    rng = np.random.default_rng(21)
+    coeffs = rng.random(41)
+    coeffs /= coeffs.sum()
+    exact_in = [Fraction(float(c)) for c in coeffs]
+    for d, d_prime in ((4, 1), (5, 2), (41, 39), (101, 99), (201, 2)):
+        got = cross_project(RealSchoenbergSequence(d, coeffs), d_prime).coeffs
+        exact = np.array([
+            float(sum(askey_weight(d, d_prime, j, k) * exact_in[j + 2 * k]
+                      for k in range((40 - j) // 2 + 1)))
+            for j in range(41)
+        ])
+        assert np.all(np.abs(got - exact) <= 1e-14 * exact), (d, d_prime)
+
+
+def test_cross_project_basis_functions_to_circle_are_probability_vectors():
+    # each c_n at d is a convex combination of cosines: its weights are >= 0
+    # and add up to c_n(1) = 1
+    for d in (201, 5):
+        for n in (0, 1, 2, 3, 10, 99, 600, 1198, 1199):
+            out = cross_project(one_hot(d, n, 1199), 1).coeffs
+            assert np.all(out >= 0.0), (d, n)
+            assert abs(out.sum() - 1.0) <= 1e-14, (d, n)
+
+
+def test_cross_project_poisson_to_circle():
+    exact = poisson_circle_coeffs(0.5, 60).coeffs
+    walked = walk_up(poisson_circle_coeffs(0.5, 62))
+    assert np.max(np.abs(cross_project(walked, 1).coeffs - exact)) <= 1e-15
+    # the sampled d = 3 coefficients are themselves off the exact ones by up
+    # to 1.2e-14 (degree 42), of which the projection keeps 1.2e-15
+    sampled = compute_real_coeffs(poisson_isotropic(0.5), 3, 60)
+    assert np.max(np.abs(cross_project(sampled, 1).coeffs - exact)) <= 2e-15
