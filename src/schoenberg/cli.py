@@ -202,6 +202,16 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDITY
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for an integer >= 1; argparse names the option on failure."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors exiting 1, as an invalid option value does."""
 
@@ -277,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spd-check", help="strict positive definiteness diagnostics")
     p.add_argument("--in", required=True)
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--K", type=_positive_int, default=None)
     p.add_argument("--threshold", type=float, default=1e-12)
     p.add_argument("--q-prime", dest="q_prime", type=int, default=None)
     p.add_argument("--out", default=None)

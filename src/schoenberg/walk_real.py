@@ -7,12 +7,13 @@ through the two-term recursion
     lead_n = (n+d-1)(n+d) / (d (2n+d-1)),   drop_n = (n+1)(n+2) / (d (2n+d+3)),
 
 with lead_0 = 1 for every d (at d = 1 the formula reads 0/0 there). The
-inverse walk solves this upper-triangular two-band system by
-back-substitution from the top, b_n = (b'_n + drop_n b_{n+2}) / lead_n.
-The solve is stable: drop_n / lead_n is at most 1 (it reaches 1 only at
-d = 1; for d >= 2 it is the weight ratio w(j+1, n, d) / w(j, n+2, d) of the
-series below), so an error in an upper entry is never amplified on its way
-down. The solve's closed form is the series
+inverse walk solves this two-band system, b_n = g_n + r_n b_{n+2} with
+g_n = b'_n / lead_n and r_n = drop_n / lead_n, by recursive doubling (Stone
+1973, J. ACM 20): the pass g_n += r_n g_{n+s}, r_n *= r_{n+s} doubles the reach
+s = 2, 4, 8, ..., so floor(log2 N) whole-array passes solve it. Each r_n <= 1
+(= 1 only at d = 1; for d >= 2 the series ratio w(j+1, n, d) / w(j, n+2, d)), so
+errors never grow; no product is a divisor, so underflow at large d drops only
+terms 1e-308 below their neighbours. The solve's closed form is the series
 
     b_{n,d} = sum_j w(j, n, d) * b_{n+2j, d+2},
 
@@ -35,20 +36,25 @@ cancels.
 """
 from __future__ import annotations
 
-import numpy as np
+import functools
 
-from .quadrature import _integer
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .quadrature import RULE_CACHE_SIZE, _integer
 from .sequences import RealSchoenbergSequence
 
 __all__ = ["walk_up", "walk_down", "cross_project"]
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _bands(d: int, size: int):
-    """``lead_n`` and ``drop_n`` of the walk d -> d + 2 for n < size."""
+    """``lead_n`` and ``drop_n`` of the walk d -> d + 2 for n < size; cached, read-only."""
     n = np.arange(size, dtype=float)
     lead = np.ones(size)
     lead[1:] = (n[1:] + d - 1.0) * (n[1:] + d) / (d * (2.0 * n[1:] + d - 1.0))
     drop = (n + 1.0) * (n + 2.0) / (d * (2.0 * n + d + 3.0))
+    lead.flags.writeable = drop.flags.writeable = False
     return lead, drop
 
 
@@ -74,8 +80,8 @@ def walk_down(
 ) -> RealSchoenbergSequence:
     """Transport a sequence from dimension d + 2 back to dimension d.
 
-    Solves the forward walk's two-band system from the top, with every
-    entry above the input truncation taken as 0. For finitely supported
+    Solves the forward walk's two-band system by recursive doubling, with
+    every entry above the input truncation taken as 0. For finitely supported
     input this is the exact inverse of :func:`walk_up`. Trailing entries
     above ``tail_tol`` are reported on the output's ``tail_bound``
     diagnostic: if the input was a truncation of an infinite sequence, the
@@ -91,15 +97,15 @@ def walk_down(
         raise ValueError(f"n_out must be nonnegative, got {n_out}")
     if not tail_tol >= 0.0:
         raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
-    # over Python floats: indexing numpy arrays one element at a time costs twice as much
-    b = seq.coeffs.tolist()
-    lead, drop = (band.tolist() for band in _bands(seq.d - 2, n_in + 1))
-    out = [0.0] * (max(n_in, n_out) + 3)
-    for n in range(n_in, -1, -1):
-        out[n] = (b[n] + drop[n] * out[n + 2]) / lead[n]
-    boundary = float(np.max(np.abs(b[-2:])))
+    lead, drop = _bands(seq.d - 2, n_in + 1)
+    g, r = seq.coeffs / lead, drop / lead
+    for s in (1 << p for p in range(1, n_in.bit_length())):  # s = 2, 4, 8, ... <= n_in
+        g[:-s] += r[:-s] * g[s:]
+        r[:-s] *= r[s:]
+    boundary = float(np.max(np.abs(seq.coeffs[-2:])))
     tail = boundary if boundary > tail_tol else 0.0
-    return RealSchoenbergSequence(seq.d - 2, out[: n_out + 1], tail_bound=tail)
+    out = np.concatenate([g[: n_out + 1], np.zeros(max(n_out - n_in, 0))])
+    return RealSchoenbergSequence(seq.d - 2, out, tail_bound=tail)
 
 
 def cross_project(seq: RealSchoenbergSequence, d_prime: int) -> RealSchoenbergSequence:
@@ -107,25 +113,29 @@ def cross_project(seq: RealSchoenbergSequence, d_prime: int) -> RealSchoenbergSe
 
     Computes b'_j = sum_k W(j, k) b_{j+2k}, with W(j, k) >= 0 the weight of
     c_j at d' in c_{j+2k} at d from Askey's formula, as cumulative products
-    in lambda = (d-1)/2, mu = (d'-1)/2 and n = j + 2k (mu = 0 included):
+    in lambda = (d-1)/2 and mu = (d'-1)/2 (mu = 0 included):
 
         W(j, 0) = prod_{0<i<j} (lambda+i)(2mu+i) / ((2lambda+i)(mu+i)),
-        W(j, k+1) / W(j, k) = (lambda+j+k)(lambda-mu+k)(n+1)(n+2)
-                              / ((mu+j+k+1)(k+1)(2lambda+n)(2lambda+n+1)).
+        W(j, k+1) / W(j, k) = A(j+k) B(k) C(j+2k),  B(k) = (lambda-mu+k) / (k+1),
+        A(m) = (lambda+m) / (mu+m+1),  C(n) = (n+1)(n+2) / ((2lambda+n)(2lambda+n+1)).
     """
     d_prime = _integer("d_prime", d_prime)
     if not 1 <= d_prime < seq.d:
         raise ValueError("cross_project requires 1 <= d_prime < seq.d")
     lam, mu = (seq.d - 1) / 2.0, (d_prime - 1) / 2.0
     size = seq.truncation + 1
-    j = np.arange(size, dtype=float)[:, None]
-    k = np.arange((size + 1) // 2, dtype=float)
-    n = j + 2.0 * k
-    i = j[1:-1, 0]
-    top = np.ones(size)
-    top[2:] = np.cumprod((lam + i) * (2.0 * mu + i) / ((2.0 * lam + i) * (mu + i)))
-    step = ((lam + j + k) * (lam - mu + k) * (n + 1.0) * (n + 2.0)
-            / ((mu + j + k + 1.0) * (k + 1.0) * (2.0 * lam + n) * (2.0 * lam + n + 1.0)))
-    weights = np.cumprod(np.concatenate([top[:, None], step[:, :-1]], axis=1), axis=1)
-    padded = np.concatenate([seq.coeffs, np.zeros(size)])
-    return RealSchoenbergSequence(d_prime, (weights * padded[n.astype(int)]).sum(axis=1))
+    half = (size + 1) // 2
+    i = np.arange(1.0, size - 1)
+    k = np.arange(half - 1.0)
+    n = np.arange(size + 2.0 * half - 2.0)
+    a = (lam + n) / (mu + n + 1.0)
+    c = (n + 1.0) * (n + 2.0) / ((2.0 * lam + n) * (2.0 * lam + n + 1.0))
+    weights = np.ones((size, half))
+    weights[2:, 0] = np.cumprod((lam + i) * (2.0 * mu + i) / ((2.0 * lam + i) * (mu + i)))
+    np.multiply(sliding_window_view(a, half)[:size, :-1], (lam - mu + k) / (k + 1.0),
+                out=weights[:, 1:])
+    weights[:, 1:] *= sliding_window_view(c, 2 * half - 1)[:, :-1:2]
+    np.cumprod(weights, axis=1, out=weights)
+    padded = np.concatenate([seq.coeffs, np.zeros(2 * half - 2)])
+    window = sliding_window_view(padded, 2 * half - 1)[:, ::2]
+    return RealSchoenbergSequence(d_prime, np.einsum("jk,jk->j", weights, window))

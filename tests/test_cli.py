@@ -267,6 +267,27 @@ def test_cli_import_leaves_the_selftest_registry_unloaded():
         schoenberg.no_such_name
 
 
+def test_cli_import_loads_only_the_package_and_the_standard_library():
+    # import cost is what a one-shot CLI process pays; numpy is imported first
+    # because the package cannot avoid it, everything after must be cheap
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import schoenberg.cli\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(tops - {'schoenberg'} - set(sys.stdlib_module_names)))\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    src = str(Path(schoenberg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "False"], done.stdout
+
+
 def test_selftest_negative_seed_exits_1_and_names_seed(capsys):
     code, _, err = run(capsys, "selftest", "--seed", "-1")
     assert code == 1
@@ -312,9 +333,13 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     random_real_sequence(4, 8, seed=1).save(src)
     for argv in (
         ("spd-check", "--in", str(src), "--K", "2.5"),
+        ("spd-check", "--in", str(src), "--K", "0"),
+        ("spd-check", "--in", str(src), "--K", "-3"),
         ("project", "--in", str(src), "--d-prime", "2", "--nodes", "8"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 1, argv
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert argv[-2] in err, argv  # the message names the option

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -18,6 +19,7 @@ from schoenberg import (
     walk_down,
     walk_up,
 )
+from schoenberg.walk_real import _bands
 
 
 def inverse_walk_weights(n: int, d: int, j_max: int) -> np.ndarray:
@@ -205,6 +207,81 @@ def series_walk_down(b, d_out):
     return out
 
 
+def loop_walk_down(b, d_out):
+    """The inverse walk as a back-substitution from the top, one degree per step."""
+    d = float(d_out)
+    out = [0.0] * (len(b) + 2)
+    for n in range(len(b) - 1, -1, -1):
+        lead = 1.0 if n == 0 else (n + d - 1.0) * (n + d) / (d * (2.0 * n + d - 1.0))
+        drop = (n + 1.0) * (n + 2.0) / (d * (2.0 * n + d + 3.0))
+        out[n] = (b[n] + drop * out[n + 2]) / lead
+    return np.array(out[: len(b)])
+
+
+def exact_walk_down(b, d_out):
+    """The inverse walk's back-substitution over exact rationals."""
+    out = [Fraction(0)] * (len(b) + 2)
+    for n in range(len(b) - 1, -1, -1):
+        lead = Fraction(1) if n == 0 else Fraction((n + d_out - 1) * (n + d_out),
+                                                   d_out * (2 * n + d_out - 1))
+        drop = Fraction((n + 1) * (n + 2), d_out * (2 * n + d_out + 3))
+        out[n] = (Fraction(float(b[n])) + drop * out[n + 2]) / lead
+    return np.array([float(x) for x in out[: len(b)]])
+
+
+def test_walk_down_matches_degree_loop():
+    rng = np.random.default_rng(20)
+    for d in (3, 4, 41, 201):
+        for n in (1199, 4000):
+            coeffs = rng.random(n + 1)
+            seq = RealSchoenbergSequence(d, coeffs / coeffs.sum())
+            loop = loop_walk_down(seq.coeffs.tolist(), d - 2)
+            got = walk_down(seq).coeffs
+            assert np.max(np.abs(got - loop)) <= 4e-15 * np.max(np.abs(loop)), (d, n)
+
+
+def test_walk_down_matches_exact_back_substitution():
+    rng = np.random.default_rng(22)
+    for d in (3, 4, 5, 41, 101, 201):
+        for n in (0, 1, 2, 3, 10, 40, 200):
+            raw = rng.random(n + 1)
+            below = random_real_sequence(d - 2, n + 2, int(rng.integers(2**31)), pad=2)
+            inputs = [raw / raw.sum(), rng.standard_normal(n + 1), walk_up(below).coeffs]
+            for coeffs in inputs:
+                got = walk_down(RealSchoenbergSequence(d, coeffs)).coeffs
+                exact = exact_walk_down(coeffs, d - 2)
+                assert np.max(np.abs(got - exact)) <= 4e-15 * np.max(np.abs(exact)), (d, n)
+
+
+def test_walk_down_n_out_pads_and_truncates():
+    seq = random_real_sequence(6, 30, seed=23)
+    full = walk_down(seq)
+    assert full.truncation == 30
+    longer = walk_down(seq, n_out=45)
+    assert longer.truncation == 45
+    assert np.array_equal(longer.coeffs[:31], full.coeffs)
+    assert np.all(longer.coeffs[31:] == 0.0)
+    shorter = walk_down(seq, n_out=12)
+    assert np.array_equal(shorter.coeffs, full.coeffs[:13])
+    tail = compute_real_coeffs(poisson_isotropic(0.6), 3, 24)
+    bounds = {walk_down(tail, n_out=n_out).tail_bound for n_out in (None, 5, 24, 40)}
+    assert len(bounds) == 1 and bounds.pop() > 0.0
+
+
+def test_walk_down_bands_cache_is_read_only_and_reused():
+    for band in _bands(4, 16):
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[0] = 2.0
+    seq = random_real_sequence(6, 40, seed=24)
+    other = random_real_sequence(6, 40, seed=25)
+    kept = seq.coeffs.copy()
+    first = walk_down(seq).coeffs
+    walk_down(other)
+    assert np.array_equal(walk_down(seq).coeffs, first)
+    assert np.array_equal(seq.coeffs, kept)
+
+
 def test_walk_down_matches_inverse_series():
     rng = np.random.default_rng(16)
     for d_out in (1, 3, 6, 40):
@@ -255,11 +332,10 @@ def test_cross_project_validates_dimensions():
             cross_project(seq, d_prime)
 
 
+@lru_cache(maxsize=None)
 def pochhammer(a, m):
-    out = Fraction(1)
-    for i in range(m):
-        out *= a + i
-    return out
+    """(a)_m over exact rationals; cached, since the connection sums reuse every prefix."""
+    return Fraction(1) if m == 0 else pochhammer(a, m - 1) * (a + m - 1)
 
 
 def askey_weight(d, d_prime, j, k):
@@ -281,19 +357,32 @@ def askey_weight(d, d_prime, j, k):
     return high * low
 
 
+def exact_cross_project(coeffs, d, d_prime):
+    """Askey's connection sum over exact rationals, one output degree at a time."""
+    exact_in = [Fraction(float(c)) for c in coeffs]
+    top = len(coeffs) - 1
+    return np.array([
+        float(sum(askey_weight(d, d_prime, j, k) * exact_in[j + 2 * k]
+                  for k in range((top - j) // 2 + 1)))
+        for j in range(top + 1)
+    ])
+
+
 def test_cross_project_matches_exact_connection_sum():
     rng = np.random.default_rng(21)
     coeffs = rng.random(41)
     coeffs /= coeffs.sum()
-    exact_in = [Fraction(float(c)) for c in coeffs]
-    for d, d_prime in ((4, 1), (5, 2), (41, 39), (101, 99), (201, 2)):
-        got = cross_project(RealSchoenbergSequence(d, coeffs), d_prime).coeffs
-        exact = np.array([
-            float(sum(askey_weight(d, d_prime, j, k) * exact_in[j + 2 * k]
-                      for k in range((40 - j) // 2 + 1)))
-            for j in range(41)
-        ])
-        assert np.all(np.abs(got - exact) <= 1e-14 * exact), (d, d_prime)
+    cases = [(d, d_prime, coeffs)
+             for d, d_prime in ((4, 1), (5, 2), (41, 39), (101, 99), (201, 2))]
+    # truncations 0 and 1 leave a single weight column; 120 a long one
+    for n in (0, 1, 2, 3, 4, 5, 120):
+        short = rng.random(n + 1)
+        cases += [(d, d_prime, short / short.sum()) for d, d_prime in ((5, 2), (8, 3), (201, 2))]
+    for d, d_prime, b in cases:
+        got = cross_project(RealSchoenbergSequence(d, b), d_prime)
+        assert got.d == d_prime and got.truncation == len(b) - 1
+        exact = exact_cross_project(b, d, d_prime)
+        assert np.all(np.abs(got.coeffs - exact) <= 1e-14 * exact), (d, d_prime, len(b))
 
 
 def test_cross_project_basis_functions_to_circle_are_probability_vectors():
