@@ -6,13 +6,7 @@ inverse dimension walks, and run truncated strict positive definiteness
 diagnostics. See the README for the CLI and the JSON wire formats.
 """
 from .complex_coeffs import compute_complex_coeffs, reconstruct_complex
-from .disk_polys import (
-    DiskRule,
-    disk_poly_eval,
-    disk_quadrature,
-    disk_rule_sized,
-    h_norm,
-)
+from .disk_polys import DiskRule, disk_poly_eval, h_norm
 from .functions import (
     DiskFunction,
     IsotropicFunction,
@@ -31,13 +25,7 @@ from .functions import (
     random_complex_sequence,
     random_real_sequence,
 )
-from .quadrature import (
-    QuadratureResolutionWarning,
-    QuadratureRule,
-    default_node_count,
-    gauss_jacobi,
-    interval_rule,
-)
+from .quadrature import QuadratureResolutionWarning, default_node_count, gauss_jacobi
 from .real_coeffs import compute_real_coeffs, harmonic_dimension, reconstruct
 from .sequences import (
     ComplexSchoenbergSequence,
@@ -79,7 +67,6 @@ __all__ = [
     "DiskRule",
     "IsotropicFunction",
     "QuadratureResolutionWarning",
-    "QuadratureRule",
     "RealSchoenbergSequence",
     "SequenceFormatError",
     "SequenceValidityError",
@@ -97,13 +84,10 @@ __all__ = [
     "disk_mixture",
     "disk_monomial",
     "disk_poly_eval",
-    "disk_quadrature",
-    "disk_rule_sized",
     "gauss_jacobi",
     "gegenbauer_mixture",
     "h_norm",
     "harmonic_dimension",
-    "interval_rule",
     "isotropic_from_sequence",
     "load_sequence",
     "loads_sequence",

@@ -29,8 +29,7 @@ import numpy as np
 
 from .complex_coeffs import compute_complex_coeffs, reconstruct_complex
 from .functions import make_disk, make_isotropic
-from .quadrature import QuadratureResolutionWarning, interval_rule
-from .disk_polys import disk_quadrature, disk_rule_sized
+from .quadrature import QuadratureResolutionWarning
 from .real_coeffs import compute_real_coeffs, reconstruct
 from .sequences import (
     ComplexSchoenbergSequence,
@@ -69,6 +68,17 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _flag_under_resolved(transform, *args):
+    """``transform(*args)`` and the exit status: 2, noted, if it warned of under-resolution."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", QuadratureResolutionWarning)
+        seq = transform(*args)
+    if any(issubclass(w.category, QuadratureResolutionWarning) for w in caught):
+        _note("warning: quadrature looks under-resolved")
+        return seq, EXIT_VALIDITY
+    return seq, EXIT_OK
+
+
 def _cmd_coeffs(args) -> int:
     params = {
         "r": args.r,
@@ -77,14 +87,7 @@ def _cmd_coeffs(args) -> int:
         "seed": args.seed,
     }
     psi = make_isotropic(args.family, **params)
-    rule = interval_rule(args.d, args.nodes) if args.nodes is not None else None
-    status = EXIT_OK
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", QuadratureResolutionWarning)
-        seq = compute_real_coeffs(psi, args.d, args.N, rule)
-        if any(issubclass(w.category, QuadratureResolutionWarning) for w in caught):
-            _note("warning: quadrature looks under-resolved")
-            status = EXIT_VALIDITY
+    seq, status = _flag_under_resolved(compute_real_coeffs, psi, args.d, args.N, args.nodes)
     _write_json(seq.to_dict(), args.out)
     return status
 
@@ -92,17 +95,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_ccoeffs(args) -> int:
     params = {"m": args.m, "n": args.n, "q": args.q, "max_degree": args.M, "seed": args.seed}
     phi = make_disk(args.family, **params)
-    rule = None
-    if args.nodes is not None:
-        angles = disk_rule_sized(args.q, args.M).angular_nodes
-        rule = disk_quadrature(args.q, args.nodes, angles)
-    status = EXIT_OK
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", QuadratureResolutionWarning)
-        seq = compute_complex_coeffs(phi, args.q, args.M, rule)
-        if any(issubclass(w.category, QuadratureResolutionWarning) for w in caught):
-            _note("warning: quadrature looks under-resolved")
-            status = EXIT_VALIDITY
+    seq, status = _flag_under_resolved(compute_complex_coeffs, phi, args.q, args.M, args.nodes)
     if seq.max_imag > 1e-10:
         _note(f"note: dropped imaginary parts up to {seq.max_imag:.3e}")
     _write_json(seq.to_dict(), args.out)
@@ -110,8 +103,6 @@ def _cmd_ccoeffs(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     seq = _load(getattr(args, "in"))
     if isinstance(seq, RealSchoenbergSequence):
         theta = np.linspace(0.0, np.pi, args.grid)
@@ -202,14 +193,18 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDITY
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for an integer >= 1; argparse names the option on failure."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _int_at_least(lo: int):
+    """argparse type for an integer >= lo; argparse names the option on failure."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= lo:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,29 +225,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="real-sphere coefficients of a built-in family")
     p.add_argument("--family", required=True,
                    choices=["constant", "cosine", "poisson", "gegenbauer-mixture"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--N", type=_int_at_least(0), required=True)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--nodes", type=_int_at_least(1), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("ccoeffs", help="disk coefficients of a built-in family")
     p.add_argument("--family", required=True,
                    choices=["constant", "disk-monomial", "disk-mixture"])
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--q", type=_int_at_least(2), required=True)
+    p.add_argument("--M", type=_int_at_least(0), required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--nodes", type=_int_at_least(1), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ccoeffs)
 
     p = sub.add_parser("reconstruct", help="evaluate a sequence's expansion on a grid")
     p.add_argument("--in", required=True)
-    p.add_argument("--grid", type=int, default=181)
+    p.add_argument("--grid", type=_int_at_least(1), default=181)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -263,14 +258,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk-down", help="real sequence d + 2 -> d")
     p.add_argument("--in", required=True)
-    p.add_argument("--N-out", dest="N_out", type=int, default=None)
+    p.add_argument("--N-out", dest="N_out", type=_int_at_least(0), default=None)
     p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("project", help="real sequence d -> d' for any d' < d")
     p.add_argument("--in", required=True)
-    p.add_argument("--d-prime", dest="d_prime", type=int, required=True)
+    p.add_argument("--d-prime", dest="d_prime", type=_int_at_least(1), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_walk)
 
@@ -287,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spd-check", help="strict positive definiteness diagnostics")
     p.add_argument("--in", required=True)
-    p.add_argument("--K", type=_positive_int, default=None)
+    p.add_argument("--K", type=_int_at_least(1), default=None)
     p.add_argument("--threshold", type=float, default=1e-12)
     p.add_argument("--q-prime", dest="q_prime", type=int, default=None)
     p.add_argument("--out", default=None)

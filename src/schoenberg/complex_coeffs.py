@@ -5,7 +5,10 @@ parameter q is
 
     a_{m,n} = h(m, n, q) * integral phi(z) conj(R_{m,n}(z)) d nu(z),
 
-evaluated with the disk product rule, a ``disk_polys.DiskRule``.
+evaluated with the disk product rule ``disk_polys.DiskRule(q, R, A)``: R
+Gauss-Jacobi radii in s = r^2 for the measure at q, crossed with A uniform
+angles. The rule is fixed by q, the radial count R a caller may choose as
+``nodes``, and A = 4M + 8 for max degree M.
 Coefficients of positive definite functions are real and nonnegative; the
 imaginary residue the quadrature leaves behind is tracked as a diagnostic
 rather than silently dropped, since a large residue means either a
@@ -16,7 +19,7 @@ with l = m - n and k = min(m, n), so the angular factor depends only on
 the diagonal l and the radial factor only on (k, |l|):
 
 * ``compute_complex_coeffs`` works from a plan built once per process for
-  each (rule, max degree M) and kept like the quadrature rules (the last
+  each (rule, max degree M) and kept like the Gauss-Jacobi rules (the last
   ``RULE_CACHE_SIZE``, read-only). The plan holds the rule's R A sample
   nodes, the angular phases cos(l t) and sin(l t) for l = 0..M and the
   radial operator: for each |l| the rows h(m, n, q) w_i r_i^|l|
@@ -48,9 +51,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disk_polys import DiskRule, _disk_points, disk_rule_sized, h_norm
+from .disk_polys import DiskRule, _disk_points, h_norm
 from .gegenbauer import _jacobi_sums, _jacobi_table
-from .quadrature import RULE_CACHE_SIZE, _finite_samples, _integer, _warn_if_under_resolved
+from .quadrature import (
+    RULE_CACHE_SIZE,
+    _finite_samples,
+    _integer,
+    _node_count,
+    _warn_if_under_resolved,
+)
 from .sequences import ComplexSchoenbergSequence, _diagonal_entries, _Entries
 
 __all__ = ["compute_complex_coeffs", "reconstruct_complex"]
@@ -101,29 +110,25 @@ def compute_complex_coeffs(
     phi,
     q: int,
     max_degree: int,
-    rule: DiskRule | None = None,
+    nodes: int | None = None,
 ) -> ComplexSchoenbergSequence:
     """Coefficients of ``phi`` at sphere parameter q, all m + n <= max_degree.
 
     ``phi`` is a DiskFunction or a plain vectorized callable on complex
-    points of the closed unit disk. A given ``rule`` must come from
-    ``disk_quadrature(q, R, A)``; an angular grid too coarse for the degree
-    aliases mode l onto l mod A, as the sum over its nodes does. The
-    returned sequence stores the real parts; the largest dropped imaginary
-    magnitude is available as the ``max_imag`` attribute of the result.
+    points of the closed unit disk. ``nodes`` is the radial count R of the
+    disk rule, ``max_degree + q + 12`` by default; the A = 4 max_degree + 8
+    angles resolve every product of disk polynomials up to max_degree, and
+    a function with angular modes past A - max_degree aliases mode l onto
+    l mod A, as the sum over the nodes does. The returned sequence stores
+    the real parts; the largest dropped imaginary magnitude is available as
+    the ``max_imag`` attribute of the result.
     """
     max_degree = _integer("max_degree", max_degree)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     fn = getattr(phi, "eval", phi)
-    hint = f"build it with disk_quadrature({q}, R, A)"
-    if rule is None:
-        rule = disk_rule_sized(q, max_degree)
-    elif not isinstance(rule, DiskRule):
-        raise ValueError(f"disk coefficients need a disk rule; {hint}")
-    elif rule.q != q:
-        # a rule for another q carries another measure: plausible wrong numbers
-        raise ValueError(f"the rule is built for q={rule.q}, not q={q}; {hint}")
+    radial = _node_count(nodes, max_degree + q + 12)
+    rule = DiskRule(q, radial, 4 * max_degree + 8)
     plan = _disk_plan(rule, max_degree)
     values = _finite_samples(fn, plan.nodes, complex, "phi", "z")
     # mode l at radius r_i is sum_j phi(r_i e^{i t_j}) e^{-i l t_j}; with

@@ -42,13 +42,7 @@ import numpy as np
 from .gegenbauer import _jacobi_table
 from .quadrature import _integer, gauss_jacobi
 
-__all__ = [
-    "DiskRule",
-    "disk_poly_eval",
-    "h_norm",
-    "disk_quadrature",
-    "disk_rule_sized",
-]
+__all__ = ["DiskRule", "disk_poly_eval", "h_norm"]
 
 #: |z| may exceed 1 by at most this before being rejected
 DISK_BOUNDARY_TOL = 1e-12
@@ -142,13 +136,3 @@ class DiskRule:
     def weights(self) -> np.ndarray:
         """The weight of each node, in the order of ``complex_nodes``."""
         return np.repeat(self.polar()[1], self.angular_nodes)
-
-
-def disk_quadrature(q: int, radial_nodes: int, angular_nodes: int) -> DiskRule:
-    """The disk rule of R = radial_nodes radii and A = angular_nodes angles at q."""
-    return DiskRule(q, radial_nodes, angular_nodes)
-
-
-def disk_rule_sized(q: int, max_degree: int) -> DiskRule:
-    """Disk rule resolving products of disk polynomials up to max_degree."""
-    return disk_quadrature(q, max_degree + q + 12, 4 * max_degree + 8)

@@ -6,16 +6,19 @@ the probability measure proportional to ``(1 - x)^alpha (1 + x)^beta`` on
 ``[-1, 1]`` from Golub-Welsch eigenvalues polished by one Newton sweep.
 
 * On S^d the substitution ``u = cos(theta)`` turns the surface measure into
-  ``(1 - u^2)^((d-2)/2) du``, so :func:`interval_rule` is the Gauss-Jacobi
-  rule with ``alpha = beta = (d - 2) / 2`` for every d >= 1 (Chebyshev at
+  ``(1 - u^2)^((d-2)/2) du``, so ``real_coeffs`` uses the Gauss-Jacobi rule
+  with ``alpha = beta = (d - 2) / 2`` for every d >= 1 (Chebyshev at
   d = 1, Legendre at d = 2). It is exact for polynomial integrands.
 * The disk rule ``disk_polys.DiskRule`` uses ``alpha = q - 2``, ``beta = 0``
   in ``s = r^2``, crossed with a uniform angular grid.
 
+So a transform's rule is fixed by its sphere and one size, and both
+transforms take that size alone, as ``nodes``.
+
 Weights sum to 1: the rules integrate against probability measures, so
 both transforms warn when a sequence's absolute mass exceeds 1.
 
-A symmetric rule (``alpha == beta``, every interval rule) is seeded from a
+A symmetric rule (``alpha == beta``, every rule of S^d) is seeded from a
 Jacobi matrix of half the size, in ``y = 2 x^2 - 1``, and mirrored, so its
 nodes are exactly antisymmetric. Rules are cached per process by
 ``(n_nodes, alpha, beta)`` and returned as read-only arrays shared by every
@@ -28,17 +31,10 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "QuadratureRule",
-    "QuadratureResolutionWarning",
-    "default_node_count",
-    "gauss_jacobi",
-    "interval_rule",
-]
+__all__ = ["QuadratureResolutionWarning", "default_node_count", "gauss_jacobi"]
 
 
 #: total |coefficient| mass above 1 by more than this flags under-resolution
@@ -66,22 +62,6 @@ def _integer(name: str, value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return operator.index(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Node/weight table of an interval rule; nodes hold ``u = cos(theta)``."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if not np.all(self.weights > 0.0):
-            raise ValueError("quadrature weights must be positive")
-        if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
 
 
 #: Gauss-Jacobi rules kept per process; the least recently used goes first
@@ -216,13 +196,11 @@ def default_node_count(truncation: int) -> int:
     return max(128, 2 * truncation + 32)
 
 
-def interval_rule(d: int, n_nodes: int) -> QuadratureRule:
-    """Gauss-Gegenbauer rule in u = cos(theta) for the sphere S^d.
-
-    The weight ``(1 - u^2)^((d-2)/2)`` is the surface measure of S^d in u,
-    normalized to total mass 1.
-    """
-    if _integer("d", d) < 1:
-        raise ValueError("dimension d must be >= 1")
-    alpha = 0.5 * (d - 2)
-    return QuadratureRule(*gauss_jacobi(n_nodes, alpha, alpha))
+def _node_count(nodes, default: int) -> int:
+    """A transform's ``nodes`` argument, or ``default`` when it is None."""
+    if nodes is None:
+        return default
+    nodes = _integer("nodes", nodes)
+    if nodes < 1:
+        raise ValueError(f"nodes must be at least 1, got nodes={nodes}")
+    return nodes

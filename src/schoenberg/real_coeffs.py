@@ -9,9 +9,12 @@ psi on ``[0, pi]`` is
 where mu_d is the surface measure of S^d pushed to u, normalized to a
 probability measure, and N(d, n) = 1 / integral c_n^2 d mu_d is the
 dimension of the degree-n spherical harmonics. The integral is evaluated
-with the Gauss-Jacobi rule of mu_d, giving
+with the K-node Gauss-Jacobi rule of mu_d (alpha = beta = (d - 2) / 2),
+giving
 
     b_n = N(d, n) * sum_i w_i psi(theta_i) c_n(u_i).
+
+The rule is fixed by d, so a caller chooses only its size K, as ``nodes``.
 """
 from __future__ import annotations
 
@@ -23,12 +26,12 @@ import numpy as np
 from .gegenbauer import normalized_gegenbauer_table
 from .quadrature import (
     RULE_CACHE_SIZE,
-    QuadratureRule,
     _finite_samples,
     _integer,
+    _node_count,
     _warn_if_under_resolved,
     default_node_count,
-    interval_rule,
+    gauss_jacobi,
 )
 from .sequences import RealSchoenbergSequence
 
@@ -58,18 +61,6 @@ def harmonic_dimension(n: int, d: int) -> float:
     return math.exp(log_value)
 
 
-def _rule_for(d: int, truncation: int, rule: QuadratureRule | None) -> QuadratureRule:
-    if rule is None:
-        return interval_rule(d, default_node_count(truncation))
-    if not isinstance(rule, QuadratureRule):
-        raise ValueError("real-sphere coefficients need an interval rule")
-    # the weights carry the measure of S^d, whose second moment is 1/(d+1);
-    # a rule built for another dimension would give plausible wrong numbers
-    if abs(float(rule.weights @ rule.nodes**2) - 1.0 / (d + 1.0)) > 1e-12:
-        raise ValueError(f"rule does not fit S^{d}; build it with interval_rule({d}, K), K >= 2")
-    return rule
-
-
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _harmonic_dimensions(d: int, truncation: int) -> np.ndarray:
     """N(d, n) for n = 0..truncation, cached per process; read-only."""
@@ -82,14 +73,15 @@ def compute_real_coeffs(
     psi,
     d: int,
     truncation: int,
-    rule: QuadratureRule | None = None,
+    nodes: int | None = None,
 ) -> RealSchoenbergSequence:
     """Coefficient sequence of ``psi`` at dimension d, degrees 0..truncation.
 
     ``psi`` is either an IsotropicFunction or a plain vectorized callable on
-    ``[0, pi]``. A given ``rule`` must come from ``interval_rule(d, K)``.
-    The default rule has ``max(128, 2 * truncation + 32)`` nodes, ample
-    for the polynomial integrands arising from truncated expansions and for
+    ``[0, pi]``. ``nodes`` is the node count K of the Gauss-Jacobi rule of
+    S^d in u = cos(theta), exact for polynomial integrands of degree below
+    2K. The default, ``max(128, 2 * truncation + 32)``, is ample for the
+    polynomial integrands arising from truncated expansions and for
     analytic inputs. Emits QuadratureResolutionWarning when the computed
     absolute mass exceeds 1 beyond roundoff, the telltale sign of an
     under-resolved rule.
@@ -97,11 +89,14 @@ def compute_real_coeffs(
     truncation = _integer("truncation", truncation)
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
+    if _integer("d", d) < 1:
+        raise ValueError("dimension d must be >= 1")
     fn = getattr(psi, "eval", psi)
-    rule = _rule_for(d, truncation, rule)
-    values = _finite_samples(fn, np.arccos(rule.nodes), float, "psi", "theta")
-    basis = normalized_gegenbauer_table(truncation, d, rule.nodes)
-    coeffs = _harmonic_dimensions(d, truncation) * ((values * rule.weights) @ basis.T)
+    alpha = 0.5 * (d - 2)
+    u, weights = gauss_jacobi(_node_count(nodes, default_node_count(truncation)), alpha, alpha)
+    values = _finite_samples(fn, np.arccos(u), float, "psi", "theta")
+    basis = normalized_gegenbauer_table(truncation, d, u)
+    coeffs = _harmonic_dimensions(d, truncation) * ((values * weights) @ basis.T)
     _warn_if_under_resolved(coeffs)
     return RealSchoenbergSequence(d, coeffs)
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .complex_coeffs import compute_complex_coeffs
-from .disk_polys import disk_poly_eval, disk_quadrature, disk_rule_sized, h_norm
+from .disk_polys import DiskRule, disk_poly_eval, h_norm
 from .functions import (
     disk_from_sequence,
     isotropic_from_sequence,
@@ -203,7 +203,7 @@ def _cross_projection(rng, tol):
 def _disk_orthogonality(rng, tol):
     worst = 0.0
     for q in (2, 3, 4, 5):
-        rule = disk_quadrature(q, 40, 64)
+        rule = DiskRule(q, 40, 64)
         z, w = rule.complex_nodes, rule.weights
         pairs = [(m, n) for m in range(7) for n in range(7)]
         table = np.array([disk_poly_eval(m, n, q - 2, z) for m, n in pairs])
@@ -245,8 +245,7 @@ def _complex_walk_quadrature_oracle(rng, tol):
         for _ in range(5):
             seq = random_complex_sequence(q, 6, int(rng.integers(2**31)))
             walked = walk_up_complex(_lift(seq))  # headroom keeps degree 6
-            rule = disk_rule_sized(q + 1, 8)
-            via = _off_class(compute_complex_coeffs, disk_from_sequence(seq), q + 1, 6, rule)
+            via = _off_class(compute_complex_coeffs, disk_from_sequence(seq), q + 1, 6)
             worst = max(worst, _entry_error(walked, via))
     return _within("max err", worst, tol)
 

@@ -15,7 +15,10 @@ from schoenberg.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error, reported by argparse
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -93,8 +96,8 @@ def test_ccoeffs_mixture_runs(capsys, tmp_path):
 
 
 def test_ccoeffs_nodes_sets_the_radial_count(capsys, tmp_path):
-    # --nodes K replaces the radial count only; the angles stay those of
-    # the default rule, 4 M + 8
+    # --nodes K is the library's nodes: the radial count, with the angles
+    # those of the default rule, 4 M + 8
     out = tmp_path / "mix.json"
     for q, M, K in ((3, 6, 11), (5, 2, 1)):
         code, _, _ = run(
@@ -103,8 +106,7 @@ def test_ccoeffs_nodes_sets_the_radial_count(capsys, tmp_path):
             "--nodes", str(K), "--out", str(out),
         )
         phi = schoenberg.make_disk("disk-mixture", m=None, n=None, q=q, max_degree=M, seed=2)
-        rule = schoenberg.disk_quadrature(q, K, 4 * M + 8)
-        want = schoenberg.compute_complex_coeffs(phi, q, M, rule)
+        want = schoenberg.compute_complex_coeffs(phi, q, M, nodes=K)
         assert code == 0
         assert json.loads(out.read_text()) == want.to_dict()
 
@@ -149,16 +151,17 @@ def test_reconstruct_complex(capsys, tmp_path):
 
 
 def test_under_resolved_coeffs_exits_2(capsys, tmp_path):
-    out = tmp_path / "bad.json"
-    code, _, err = run(
-        capsys,
-        "coeffs", "--family", "poisson", "--r", "0.9", "--d", "1", "--N", "40",
-        "--nodes", "16", "--out", str(out),
-    )
-    assert code == 2
-    assert "under-resolved" in err
-    # the flagged output is still written for inspection
-    assert out.exists()
+    # a rule made too small by --nodes, and the default rule at d = 51
+    for i, argv in enumerate((
+        ("--r", "0.9", "--d", "1", "--N", "40", "--nodes", "16"),
+        ("--r", "0.5", "--d", "51", "--N", "64"),
+    )):
+        out = tmp_path / f"bad{i}.json"
+        code, _, err = run(capsys, "coeffs", "--family", "poisson", *argv, "--out", str(out))
+        assert code == 2, argv
+        assert "under-resolved" in err
+        # the flagged output is still written for inspection
+        assert out.exists()
 
 
 def test_malformed_json_exits_1_and_names_field(capsys, tmp_path):
@@ -194,7 +197,7 @@ def test_walk_down_negative_n_out_exits_1(capsys, tmp_path):
     random_real_sequence(4, 8, seed=1).save(src)
     code, _, err = run(capsys, "walk-down", "--in", str(src), "--N-out", "-1")
     assert code == 1
-    assert "n_out" in err
+    assert "--N-out" in err
 
 
 def test_validity_contradiction_exits_2(capsys, tmp_path):
@@ -315,31 +318,43 @@ def test_json_floats_roundtrip_exactly(capsys, tmp_path):
 
 
 def test_zero_nodes_exits_1(capsys, tmp_path):
-    src = tmp_path / "seq.json"
-    random_real_sequence(4, 8, seed=1).save(src)
+    # --nodes 0 is a usage error naming --nodes, and writes no output
+    out = tmp_path / "o.json"
     for argv in (
         ("coeffs", "--family", "poisson", "--r", "0.5", "--d", "3", "--N", "8"),
         ("ccoeffs", "--family", "disk-monomial", "--m", "1", "--n", "1", "--q", "3", "--M", "4"),
     ):
-        code, _, err = run(capsys, *argv, "--nodes", "0", "--out", str(tmp_path / "o.json"))
+        code, _, err = run(capsys, *argv, "--nodes", "0", "--out", str(out))
         assert code == 1, argv
-        assert "need at least one node" in err
-        assert not (tmp_path / "o.json").exists()
+        assert "error:" in err
+        assert "--nodes" in err
+        assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys, tmp_path):
     # a usage error is a malformed option, not a validity failure (exit 2)
     src = tmp_path / "seq.json"
     random_real_sequence(4, 8, seed=1).save(src)
+    out = tmp_path / "o.json"
+    coeffs = ("coeffs", "--family", "poisson", "--r", "0.5")
+    ccoeffs = ("ccoeffs", "--family", "disk-monomial", "--m", "1", "--n", "1")
     for argv in (
         ("spd-check", "--in", str(src), "--K", "2.5"),
         ("spd-check", "--in", str(src), "--K", "0"),
         ("spd-check", "--in", str(src), "--K", "-3"),
         ("project", "--in", str(src), "--d-prime", "2", "--nodes", "8"),
+        ("project", "--in", str(src), "--d-prime", "0"),
+        ("walk-down", "--in", str(src), "--N-out", "-1"),
+        (*coeffs, "--d", "3", "--N", "-1"),
+        (*coeffs, "--N", "8", "--d", "0"),
+        (*ccoeffs, "--q", "3", "--M", "-1"),
+        (*ccoeffs, "--M", "4", "--q", "1"),
+        (*ccoeffs, "--q", "3", "--M", "4", "--nodes", "2.5"),
     ):
         with pytest.raises(SystemExit) as exc:
-            main(list(argv))
+            main([argv[0], "--out", str(out), *argv[1:]])
         assert exc.value.code == 1, argv
         err = capsys.readouterr().err
         assert "error:" in err
         assert argv[-2] in err, argv  # the message names the option
+        assert not out.exists(), argv

@@ -5,20 +5,23 @@ import pytest
 
 from schoenberg import (
     ComplexSchoenbergSequence,
+    DiskRule,
     QuadratureResolutionWarning,
     compute_complex_coeffs,
     disk_constant,
     disk_from_sequence,
     disk_monomial,
-    disk_quadrature,
     disk_poly_eval,
-    disk_rule_sized,
     h_norm,
-    interval_rule,
     random_complex_sequence,
     reconstruct_complex,
 )
 from schoenberg import complex_coeffs
+
+
+def default_rule(q, max_degree):
+    """The rule compute_complex_coeffs builds when no ``nodes`` are given."""
+    return DiskRule(q, max_degree + q + 12, 4 * max_degree + 8)
 
 
 def entry_error(a: ComplexSchoenbergSequence, b: ComplexSchoenbergSequence) -> float:
@@ -63,10 +66,9 @@ def test_radial_rule_overflow_is_named():
 
 
 def test_squared_modulus_against_denser_quadrature():
-    # independent oracle: same integrals at double resolution
+    # independent oracle: same integrals at more than three times the radii
     coarse = compute_complex_coeffs(disk_monomial(1, 1), 2, 4)
-    fine_rule = disk_quadrature(2, 64, 96)
-    fine = compute_complex_coeffs(disk_monomial(1, 1), 2, 4, fine_rule)
+    fine = compute_complex_coeffs(disk_monomial(1, 1), 2, 4, nodes=64)
     assert entry_error(coarse, fine) <= 1e-12
 
 
@@ -128,9 +130,9 @@ def test_coefficient_functional_is_linear():
 
 
 def test_under_resolved_rule_is_reported():
-    rule = disk_quadrature(2, 3, 6)
+    # three radii cannot resolve the degree-10 mixture: sum |a| = 1.07
     with pytest.warns(QuadratureResolutionWarning):
-        compute_complex_coeffs(disk_mixture_high_degree(), 2, 10, rule)
+        compute_complex_coeffs(disk_mixture_high_degree(), 2, 10, nodes=3)
 
 
 def disk_mixture_high_degree():
@@ -168,11 +170,10 @@ def test_separated_transform_matches_per_bidegree_sum():
     for q in (2, 3, 5, 100):
         for max_degree in (0, 1, 32):
             phi = disk_from_sequence(random_complex_sequence(q, min(max_degree, 8), seed=q))
-            rule = disk_rule_sized(q, max_degree)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", QuadratureResolutionWarning)
-                got = compute_complex_coeffs(phi, q, max_degree, rule)
-            reference = per_bidegree_sum(phi, q, max_degree, rule)
+                got = compute_complex_coeffs(phi, q, max_degree)
+            reference = per_bidegree_sum(phi, q, max_degree, default_rule(q, max_degree))
             assert set(got.entries) <= set(reference)
             for (m, n), value in reference.items():
                 diff = abs(got.get(m, n) - value.real)
@@ -182,44 +183,26 @@ def test_separated_transform_matches_per_bidegree_sum():
 
 
 def test_under_resolved_grid_aliases_like_per_node_sum():
-    # six angles cannot tell mode l from l - 6; the transform over angles
-    # must alias exactly as the sum over the nodes does
-    rule = disk_quadrature(2, 3, 6)
-    phi = disk_mixture_high_degree()
-    with pytest.warns(QuadratureResolutionWarning):
-        got = compute_complex_coeffs(phi, 2, 10, rule)
-    reference = per_bidegree_sum(phi, 2, 10, rule)
+    # at max degree 2 the 16 angles cannot tell mode l from l -+ 16, and
+    # phi's modes +-15 reach past 16 - 2; the transform over angles must
+    # alias them onto the diagonals -+1 exactly as the sum over the nodes does
+    phi = disk_from_sequence(ComplexSchoenbergSequence(2, {(15, 0): 0.5, (1, 16): 0.5}, 17))
+    got = compute_complex_coeffs(phi, 2, 2)
+    reference = per_bidegree_sum(phi, 2, 2, default_rule(2, 2))
+    assert min(abs(got.get(1, 0)), abs(got.get(0, 1))) > 0.05  # true entries are 0
     assert max(abs(got.get(*k) - v.real) for k, v in reference.items()) <= 1e-12
     assert got.max_imag == pytest.approx(max(abs(v.imag) for v in reference.values()), abs=1e-12)
 
 
-def test_rule_for_another_q_is_rejected():
-    # the q = 6 rule would give a_{1,1} = -0.095 and a_{2,2} = -0.32 for |z|^2
-    # at q = 3, where the true entries are a_{0,0} = 1/3 and a_{1,1} = 2/3;
-    # the check holds with and without a plan built for the rule at q = 6
-    rule = disk_quadrature(6, 20, 24)
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"q=6, not q=3.*disk_quadrature\(3, R, A\)"):
-            compute_complex_coeffs(disk_monomial(1, 1), 3, 4, rule)
-        compute_complex_coeffs(disk_monomial(1, 1), 6, 4, rule)
-
-
-def test_rule_that_is_not_a_disk_rule_is_rejected():
-    for bad in (interval_rule(2, 16), (3, 8, 12)):
-        with pytest.raises(ValueError, match=r"disk rule.*disk_quadrature\(3, R, A\)"):
-            compute_complex_coeffs(disk_constant(), 3, 2, bad)
-
-
 def test_non_finite_phi_is_named():
-    rule = disk_quadrature(3, 8, 12)
-    z = rule.complex_nodes
+    z = DiskRule(3, 8, 4 * 4 + 8).complex_nodes
     first = z[np.flatnonzero(z.real < 0.0)[0]]
 
     def phi(points):
         return np.where(points.real < 0.0, np.nan, 1.0)
 
     with pytest.raises(ValueError, match=r"phi\(z=") as info:
-        compute_complex_coeffs(phi, 3, 4, rule)
+        compute_complex_coeffs(phi, 3, 4, nodes=8)
     assert str(first) in str(info.value) and "nan" in str(info.value)
 
 
@@ -273,17 +256,17 @@ def test_each_rule_gets_its_own_plan():
     # the plan is keyed on the rule's parameters: rules of two radial sizes
     # each match the per-node sum on their own nodes, and equal rules built
     # apart share one plan
-    q, max_degree, angles = 3, 12, 56
+    q, max_degree, angles = 3, 12, 4 * 12 + 8
     phi = disk_from_sequence(random_complex_sequence(q, 8, seed=4))
     for radial in (26, 31):
-        rule = disk_quadrature(q, radial, angles)
+        rule = DiskRule(q, radial, angles)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureResolutionWarning)
-            got = compute_complex_coeffs(phi, q, max_degree, rule)
+            got = compute_complex_coeffs(phi, q, max_degree, nodes=radial)
         reference = per_bidegree_sum(phi, q, max_degree, rule)
         assert max(abs(got.get(*k) - v.real) for k, v in reference.items()) <= 1e-12
         plan = complex_coeffs._disk_plan(rule, max_degree)
-        assert complex_coeffs._disk_plan(disk_quadrature(q, radial, angles), max_degree) is plan
+        assert complex_coeffs._disk_plan(DiskRule(q, radial, angles), max_degree) is plan
         assert np.array_equal(plan.nodes, rule.complex_nodes)
 
 
@@ -298,7 +281,7 @@ def test_cold_and_warm_plans_give_identical_coefficients():
 
 
 def test_plan_arrays_are_read_only():
-    plan = complex_coeffs._disk_plan(disk_rule_sized(3, 10), 10)
+    plan = complex_coeffs._disk_plan(default_rule(3, 10), 10)
     assert len(plan.radial) == 11 and len(plan.keys) == 66
     for array in (plan.nodes, plan.keys, plan.phases, *plan.radial):
         assert not array.flags.writeable

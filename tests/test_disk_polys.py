@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from schoenberg import disk_poly_eval, disk_quadrature, h_norm
+from schoenberg import DiskRule, disk_poly_eval, h_norm
 
 
 def random_disk_points(rng, size):
@@ -107,7 +107,7 @@ def test_h_norm_values_and_symmetry():
 
 def test_orthogonality_against_h():
     for q in (2, 3, 4):
-        rule = disk_quadrature(q, 30, 40)
+        rule = DiskRule(q, 30, 40)
         z, w = rule.complex_nodes, rule.weights
         table = {
             (m, n): disk_poly_eval(m, n, q - 2, z)
@@ -122,7 +122,7 @@ def test_orthogonality_against_h():
 
 
 def test_first_moment_vanishes():
-    rule = disk_quadrature(2, 20, 24)
+    rule = DiskRule(2, 20, 24)
     value = np.sum(rule.weights * disk_poly_eval(1, 0, 0, rule.complex_nodes))
     assert abs(value) <= 1e-14
 

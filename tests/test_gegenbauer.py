@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from schoenberg import interval_rule
+from schoenberg import gauss_jacobi
 from schoenberg.gegenbauer import _as_unit_interval, _jacobi_table, normalized_gegenbauer_table
 
 
@@ -145,7 +145,8 @@ def test_table_rows_match_scalar_evaluator():
     # scalar evaluator takes the cosine path instead
     n_max = 512
     for d in (1, 2, 3, 5, 40):
-        u = np.concatenate((np.linspace(-1.0, 1.0, 201), interval_rule(d, 160).nodes))
+        alpha = 0.5 * (d - 2)  # the nodes of the 160-node rule of S^d
+        u = np.concatenate((np.linspace(-1.0, 1.0, 201), gauss_jacobi(160, alpha, alpha)[0]))
         table = normalized_gegenbauer_table(n_max, d, u)
         assert table.shape == (n_max + 1, u.size)
         # every row at d = 1; elsewhere a spread of rows, since the scalar

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import schoenberg
 from schoenberg import (
     ComplexSchoenbergSequence,
     DiskRule,
-    QuadratureRule,
     RealSchoenbergSequence,
     QuadratureResolutionWarning,
     check_progressions,
@@ -15,9 +15,7 @@ from schoenberg import (
     constant_isotropic,
     disk_constant,
     disk_from_sequence,
-    disk_quadrature,
     gauss_jacobi,
-    interval_rule,
     poisson_isotropic,
     support_pattern,
     walk_down,
@@ -28,6 +26,12 @@ def beta_moment(k, alpha, beta):
     # E[t^k] for t = (1 + x) / 2 ~ Beta(beta + 1, alpha + 1): a product of
     # positive ratios, free of the cancellation in the moments of x itself
     return math.prod((beta + 1.0 + i) / (alpha + beta + 2.0 + i) for i in range(k))
+
+
+def sphere_rule(d, n_nodes):
+    """The rule compute_real_coeffs uses on S^d: Gauss-Jacobi in u = cos(theta)."""
+    alpha = 0.5 * (d - 2)
+    return gauss_jacobi(n_nodes, alpha, alpha)
 
 
 def test_gauss_jacobi_integrates_polynomials_exactly():
@@ -45,62 +49,75 @@ def test_gauss_jacobi_integrates_polynomials_exactly():
 
 def test_interval_rule_has_unit_mass_in_u():
     for d in range(1, 8):
-        rule = interval_rule(d, 32)
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
-        assert np.all(np.abs(rule.nodes) < 1.0)
+        u, w = sphere_rule(d, 32)
+        assert w.sum() == pytest.approx(1.0, abs=1e-13)
+        assert np.all(np.abs(u) < 1.0)
 
 
 def test_interval_rule_even_dimension_uses_cos_substitution():
-    rule = interval_rule(4, 32)
-    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
-    assert np.all(np.abs(rule.nodes) < 1.0)
+    u, w = sphere_rule(4, 32)
+    assert w.sum() == pytest.approx(1.0, abs=1e-13)
+    assert np.all(np.abs(u) < 1.0)
     # nodes are u = cos(theta) under the S^4 measure: symmetric about 0,
     # with E[u^2] = 1 / (d + 1) on S^d
-    assert np.allclose(np.sort(rule.nodes), -np.sort(rule.nodes)[::-1], atol=1e-14)
-    assert np.sum(rule.weights * rule.nodes**2) == pytest.approx(1.0 / 5.0, abs=1e-14)
+    assert np.allclose(np.sort(u), -np.sort(u)[::-1], atol=1e-14)
+    assert np.sum(w * u**2) == pytest.approx(1.0 / 5.0, abs=1e-14)
 
 
 def test_interval_rule_odd_dimension_stays_in_theta():
     # odd d shares the u-rule; mapped back to theta it covers (0, pi) and
     # integrates trigonometric polynomials in theta exactly
     for d in (1, 3, 5):
-        rule = interval_rule(d, 32)
-        theta = np.arccos(rule.nodes)
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
+        u, w = sphere_rule(d, 32)
+        theta = np.arccos(u)
+        assert w.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.all((theta > 0.0) & (theta < np.pi))
         # E[cos(2 theta)] = 2 E[u^2] - 1 = (1 - d) / (d + 1) on S^d
-        mean = np.sum(rule.weights * np.cos(2.0 * theta))
+        mean = np.sum(w * np.cos(2.0 * theta))
         assert mean == pytest.approx((1.0 - d) / (d + 1.0), abs=1e-13)
 
 
 def test_disk_rule_has_unit_mass():
     for q in range(2, 7):
-        rule = disk_quadrature(q, 24, 32)
+        rule = DiskRule(q, 24, 32)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.all(np.abs(rule.complex_nodes) <= 1.0)
 
 
 def test_rule_validation():
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.0]), np.array([-1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.0, 0.5]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(np.zeros((4, 2)), np.full(4, 0.25))
-    with pytest.raises(ValueError):
         gauss_jacobi(4, -1.0, 0.0)
+    with pytest.raises(ValueError, match="dimension d must be >= 1"):
+        compute_real_coeffs(constant_isotropic(), 0, 8)
     with pytest.raises(ValueError):
-        interval_rule(0, 8)
-    with pytest.raises(ValueError):
-        disk_quadrature(1, 8, 8)
+        DiskRule(1, 8, 8)
     for radial, angular in ((0, 8), (8, 0)):
         with pytest.raises(ValueError, match="need at least one node"):
-            disk_quadrature(3, radial, angular)
+            DiskRule(3, radial, angular)
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.bool_(True), 0, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: compute_real_coeffs(constant_isotropic(), 3, 4, nodes=v),
+        lambda v: compute_complex_coeffs(disk_constant(), 3, 4, nodes=v),
+    ],
+    ids=["real-coeffs", "complex-coeffs"],
+)
+def test_nodes_must_be_a_positive_integer(call, value):
+    # a transform's rule is its sphere's, so its node count is all a caller
+    # sets; a count that is not an integer, or is below 1, is refused by name
+    with pytest.raises(ValueError, match="^nodes must be "):
+        call(value)
+    assert call(np.int64(9)).total_mass == pytest.approx(1.0, abs=1e-13)
 
 
 def test_complex_nodes_only_for_disk_rules():
-    assert not hasattr(interval_rule(2, 8), "complex_nodes")
-    rule = disk_quadrature(3, 8, 8)
+    # the sphere rule is a bare (nodes, weights) pair; only the disk rule
+    # lays its nodes out in the plane
+    assert len(sphere_rule(2, 8)) == 2
+    rule = DiskRule(3, 8, 8)
     assert rule.complex_nodes.shape == rule.weights.shape == (64,)
 
 
@@ -116,7 +133,7 @@ def test_disk_rule_layout_is_radius_major():
     # pinned bit for bit: the A angles at each Gauss-Jacobi radius in turn,
     # each node carrying its circle's mass over A
     for q, radial, angular in ((2, 3, 6), (3, 8, 12), (100, 118, 32)):
-        rule = disk_quadrature(q, radial, angular)
+        rule = DiskRule(q, radial, angular)
         t, mass = gauss_jacobi(radial, q - 2, 0)
         radii = np.sqrt(0.5 * (1.0 + t))
         assert np.array_equal(rule.complex_nodes, polar_nodes(radii, angular))
@@ -124,10 +141,10 @@ def test_disk_rule_layout_is_radius_major():
 
 
 def test_disk_rule_is_its_parameters():
-    rule = disk_quadrature(np.int64(3), np.int32(8), 12)
+    rule = DiskRule(np.int64(3), np.int32(8), 12)
     assert rule == DiskRule(3, 8, 12) and hash(rule) == hash(DiskRule(3, 8, 12))
     assert all(type(v) is int for v in (rule.q, rule.radial_nodes, rule.angular_nodes))
-    assert rule != disk_quadrature(4, 8, 12)
+    assert rule != DiskRule(4, 8, 12)
     with pytest.raises(AttributeError):
         rule.q = 4
 
@@ -136,15 +153,15 @@ def test_sphere_parameters_must_be_integers():
     # each of these once built a rule or returned numbers for a sphere that
     # does not exist, or failed naming the wrong argument
     for call, name in (
-        (lambda: disk_quadrature(3.5, 8, 8), "q"),
-        (lambda: disk_quadrature(True, 8, 8), "q"),
-        (lambda: disk_quadrature(3, 8.0, 8), "radial_nodes"),
-        (lambda: disk_quadrature(3, 8, 8.5), "angular_nodes"),
-        (lambda: disk_quadrature(3, 8, True), "angular_nodes"),
+        (lambda: DiskRule(3.5, 8, 8), "q"),
+        (lambda: DiskRule(True, 8, 8), "q"),
+        (lambda: DiskRule(3, 8.0, 8), "radial_nodes"),
+        (lambda: DiskRule(3, 8, 8.5), "angular_nodes"),
+        (lambda: DiskRule(3, 8, True), "angular_nodes"),
         (lambda: compute_complex_coeffs(disk_constant(), 3.5, 4), "q"),
         (lambda: compute_real_coeffs(constant_isotropic(), 2.5, 6), "d"),
         (lambda: compute_real_coeffs(constant_isotropic(), True, 6), "d"),
-        (lambda: interval_rule(np.bool_(True), 8), "d"),
+        (lambda: compute_real_coeffs(constant_isotropic(), np.bool_(True), 6), "d"),
         (lambda: RealSchoenbergSequence(2.5, [1.0]), "d"),
         (lambda: RealSchoenbergSequence(True, [1.0]), "d"),
         (lambda: ComplexSchoenbergSequence(2.5, {(0, 0): 1.0}, 0), "q"),
@@ -155,7 +172,7 @@ def test_sphere_parameters_must_be_integers():
     # numpy integers still work, and come out as plain ints
     assert compute_complex_coeffs(disk_constant(), np.int64(3), 2).q == 3
     assert compute_real_coeffs(constant_isotropic(), np.int32(3), 4).d == 3
-    assert len(interval_rule(np.int64(2), 8).nodes) == 8
+    assert compute_real_coeffs(constant_isotropic(), np.int64(2), 4, nodes=np.int64(8)).d == 2
 
 
 @pytest.mark.parametrize("value", [2.5, True])
@@ -224,11 +241,11 @@ def test_chebyshev_rule_matches_closed_form():
 def test_interval_rule_nodes_mirror_exactly():
     for d in (1, 2, 3, 5, 50):
         for n_nodes in (1, 2, 7, 8, 160, 161):
-            rule = interval_rule(d, n_nodes)
-            assert np.array_equal(rule.nodes, -rule.nodes[::-1])
-            assert np.array_equal(rule.weights, rule.weights[::-1])
+            u, w = sphere_rule(d, n_nodes)
+            assert np.array_equal(u, -u[::-1])
+            assert np.array_equal(w, w[::-1])
             if n_nodes % 2:
-                middle = rule.nodes[n_nodes // 2]
+                middle = u[n_nodes // 2]
                 assert middle == 0.0 and not np.signbit(middle)
 
 
@@ -239,10 +256,6 @@ def test_gauss_jacobi_rules_are_cached_and_read_only():
             array[0] = 0.0
     again = gauss_jacobi(12, 0.5, 0.5)
     assert again[0] is x and again[1] is w
-    rule = interval_rule(3, 12)
-    assert rule.nodes is x and rule.weights is w
-    with pytest.raises(ValueError):
-        rule.nodes[0] = 0.0
 
 
 def test_gauss_jacobi_rejects_bad_arguments_before_the_cache():
@@ -253,9 +266,9 @@ def test_gauss_jacobi_rejects_bad_arguments_before_the_cache():
     with pytest.raises(ValueError, match="need at least one node"):
         gauss_jacobi(0, 0.0, 0.0)
     # 8 and 8.0 hash alike, so a cached 8-node rule must not let 8.0 through
-    interval_rule(3, 8)
+    gauss_jacobi(8, 0.5, 0.5)
     with pytest.raises(ValueError, match="n_nodes must be an integer, got 8.0"):
-        interval_rule(3, 8.0)
+        gauss_jacobi(8.0, 0.5, 0.5)
     assert len(gauss_jacobi(np.int64(8), 0.5, 0.5)[0]) == 8
 
 
@@ -264,9 +277,18 @@ def test_resolution_warning_points_at_the_caller():
     # the line that called the transform, not a line inside the package
     mixture = disk_from_sequence(ComplexSchoenbergSequence(2, {(5, 5): 0.5, (8, 1): 0.5}, 10))
     for call in (
-        lambda: compute_real_coeffs(poisson_isotropic(0.9), 1, 40, interval_rule(1, 16)),
-        lambda: compute_complex_coeffs(mixture, 2, 10, disk_quadrature(2, 3, 6)),
+        lambda: compute_real_coeffs(poisson_isotropic(0.9), 1, 40, nodes=16),
+        lambda: compute_complex_coeffs(mixture, 2, 10, nodes=3),
     ):
         with pytest.warns(QuadratureResolutionWarning, match="exceeds 1") as caught:
             call()
         assert [w.filename for w in caught] == [__file__]
+
+
+def test_every_public_name_resolves():
+    # the rule objects and builders left the package; nothing may still
+    # advertise them
+    for name in schoenberg.__all__:
+        assert getattr(schoenberg, name) is not None, name
+    for gone in ("QuadratureRule", "interval_rule", "disk_quadrature", "disk_rule_sized"):
+        assert gone not in schoenberg.__all__ and not hasattr(schoenberg, gone)

@@ -8,7 +8,6 @@ from schoenberg import (
     ComplexSchoenbergSequence,
     compute_complex_coeffs,
     disk_from_sequence,
-    disk_rule_sized,
     random_complex_sequence,
     walk_down_complex,
     walk_up_complex,
@@ -92,9 +91,7 @@ def test_walk_up_against_quadrature_oracle():
     for q in (2, 3):
         seq = random_complex_sequence(q, 6, int(rng.integers(2**31)))
         walked = walk_up_complex(lift(seq))
-        via = compute_complex_coeffs(
-            disk_from_sequence(seq), q + 1, 6, disk_rule_sized(q + 1, 8)
-        )
+        via = compute_complex_coeffs(disk_from_sequence(seq), q + 1, 6)
         assert entry_error(walked, via) <= 1e-10
 
 
