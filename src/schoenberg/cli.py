@@ -238,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["constant", "disk-monomial", "disk-mixture"])
     p.add_argument("--q", type=_int_at_least(2), required=True)
     p.add_argument("--M", type=_int_at_least(0), required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=_int_at_least(0), default=None)
+    p.add_argument("--n", type=_int_at_least(0), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes", type=_int_at_least(1), default=None)
     p.add_argument("--out", default=None)
@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--K", type=_int_at_least(1), default=None)
     p.add_argument("--threshold", type=float, default=1e-12)
-    p.add_argument("--q-prime", dest="q_prime", type=int, default=None)
+    p.add_argument("--q-prime", dest="q_prime", type=_int_at_least(2), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spd_check)
 

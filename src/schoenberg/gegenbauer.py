@@ -8,11 +8,16 @@ d, the ``d = 1`` circle included: at order 0 it reads
 ``c_k = 2 u c_{k-1} - c_{k-2}``, the Chebyshev recurrence of
 ``cos(n * theta)``.
 
-The table is the a = b = (d - 2) / 2 case of ``_jacobi_table``, the one
-recurrence for Jacobi polynomials normalized to 1 at 1; the disk radial
-factors are its a = q - 2, b = |m - n| case. ``_jacobi_sums`` runs the
-same recurrence, from the same terms, for many b at once and keeps only
-the sums over k that the disk reconstruction needs.
+The one recurrence for Jacobi polynomials normalized to 1 at 1 is
+``_jacobi_blocks``: it yields the rows in blocks of ``BLOCK_ROWS``, each
+refilled in one buffer of that many rows, so a caller that contracts each
+block as it comes holds O(BLOCK_ROWS len(x)) memory at any degree. Both
+real transforms stream its a = b = (d - 2) / 2 case. ``_jacobi_table`` is
+its one-block case, with the same rows bit for bit: the sphere table is
+its a = b case and the disk radial factors its a = q - 2, b = |m - n|
+case. ``_jacobi_sums`` runs the same recurrence, from the same terms, for
+many b at once and keeps only the sums over k that the disk
+reconstruction needs.
 
 The recurrence runs forward, which is stable on ``[-1, 1]`` for
 nonnegative orders.
@@ -51,10 +56,26 @@ def normalized_gegenbauer_table(n_max: int, d: int, u: np.ndarray) -> np.ndarray
     return _jacobi_table(n_max, a, a, u)
 
 
+#: rows per block of ``_jacobi_blocks``: its buffer is this many rows of len(x)
+BLOCK_ROWS = 64
+
+
 def _jacobi_table(k_max: int, a: float, b: float, x) -> np.ndarray:
     """Rows P_k^(a,b)(x) / P_k^(a,b)(1), k = 0..k_max; shape ``(k_max + 1, *x.shape)``.
 
-    The handbook recurrence rescaled to p_k(1) = 1: with t = 2k + a + b,
+    The one-block case of ``_jacobi_blocks``, so its rows are the blocks'
+    rows bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    _, table = next(_jacobi_blocks(k_max, a, b, x.ravel(), k_max + 1))
+    return table.reshape(k_max + 1, *x.shape)
+
+
+def _jacobi_blocks(k_max: int, a: float, b: float, x: np.ndarray, rows: int = BLOCK_ROWS):
+    """Yield ``(start, block)``: rows start.. of the normalized Jacobi recurrence at flat x.
+
+    Row k is P_k^(a,b)(x) / P_k^(a,b)(1), k = 0..k_max. The handbook
+    recurrence rescaled to p_k(1) = 1: with t = 2k + a + b,
 
         den_k p_k = ((t-2)(t-1)t x + (t-1)(a-b)(a+b)) p_{k-1} - 2(k-1)(k+b-1)t p_{k-2},
         den_k = 2 (k+a+b)(t-2)(k+a),
@@ -65,37 +86,47 @@ def _jacobi_table(k_max: int, a: float, b: float, x) -> np.ndarray:
     and drop_k = (k-1) / (k+2a), the Gegenbauer coefficients of order a + 1/2.
     Otherwise the division comes last: at (a, b) = (0, 24) the quotients
     reach about 7 with opposite signs, and rounding them first moves p_16(1)
-    by up to 1.9e-14. Rows are filled in place. Needs a, b > -1.
+    by up to 1.9e-14. Needs a, b > -1.
+
+    Every block is a view of one buffer of ``min(rows, k_max + 1)`` rows,
+    filled in place and refilled for the next block, so memory is
+    O(rows len(x)) at any degree: use a block before asking for the next.
+    A block starts at a multiple of ``rows`` and holds ``rows`` rows, the
+    last one fewer. Row k is written over row k - rows, which the
+    recurrence no longer reads when ``rows >= 3``.
     """
-    x = np.asarray(x, dtype=float)
-    shape = (k_max + 1, *x.shape)
-    x = x.ravel()
-    out = np.empty((k_max + 1, x.size))
-    out[0] = 1.0
+    buf = np.empty((min(rows, k_max + 1), x.size))
+    buf[0] = 1.0
     if k_max >= 1:
-        out[1] = x if a == b else _jacobi_first(a, b, x)
+        buf[1] = x if a == b else _jacobi_first(a, b, x)
     k = np.arange(2.0, k_max + 1)
     scratch = np.empty_like(x)
     if a == b:
         t = 2.0 * k + a + b
-        lead, drop = (t - 1.0) / (k + a + b), (k - 1.0) / (k + a + b)
-        for row, prev, prev2, lead_k, drop_k in zip(out[2:], out[1:], out, lead, drop):
-            np.multiply(prev, x, out=row)
-            row *= lead_k
-            np.multiply(prev2, drop_k, out=scratch)
-            row -= scratch
+        terms = zip((t - 1.0) / (k + a + b), (k - 1.0) / (k + a + b))
     else:
-        c3, c2, c4, den = _jacobi_terms(k, a, b)
-        for row, prev, prev2, c3_k, c2_k, c4_k, den_k in zip(
-            out[2:], out[1:], out, c3, c2, c4, den
-        ):
-            np.multiply(x, c3_k, out=row)
-            row += c2_k
-            row *= prev
-            np.multiply(prev2, c4_k, out=scratch)
-            row -= scratch
-            row /= den_k
-    return out.reshape(shape)
+        terms = zip(*_jacobi_terms(k, a, b))
+    prev2, prev = buf[0], buf[min(k_max, 1)]
+    for start in range(0, k_max + 1, rows):
+        block = buf[: min(rows, k_max + 1 - start)]
+        # zip stops at the block's end before it draws the next term
+        for row, term in zip(block[2:] if start == 0 else block, terms):
+            if a == b:
+                lead_k, drop_k = term
+                np.multiply(prev, x, out=row)
+                row *= lead_k
+                np.multiply(prev2, drop_k, out=scratch)
+                row -= scratch
+            else:
+                c3_k, c2_k, c4_k, den_k = term
+                np.multiply(x, c3_k, out=row)
+                row += c2_k
+                row *= prev
+                np.multiply(prev2, c4_k, out=scratch)
+                row -= scratch
+                row /= den_k
+            prev2, prev = prev, row
+        yield start, block
 
 
 def _jacobi_sums(coef: np.ndarray, a: float, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,16 @@ giving
     b_n = N(d, n) * sum_i w_i psi(theta_i) c_n(u_i).
 
 The rule is fixed by d, so a caller chooses only its size K, as ``nodes``.
+
+The rule is mirrored exactly (u_{K-1-i} = -u_i, equal weights) and
+c_n(-u) = (-1)^n c_n(u), so the samples fold onto the nonnegative nodes:
+even degrees sum w_i (psi(u_i) + psi(-u_i)) c_n(u_i) and odd degrees
+w_i (psi(u_i) - psi(-u_i)) c_n(u_i) over the ceil(K / 2) nodes u_i >= 0,
+with the weight of u = 0 (odd K) halved. The basis rows come in blocks of
+``gegenbauer.BLOCK_ROWS`` from the recurrence, and each block is
+contracted with one product per parity; ``reconstruct`` adds one product
+per block. Neither builds a table of all degrees, so both hold one block
+of rows at any truncation.
 """
 from __future__ import annotations
 
@@ -23,7 +33,7 @@ import math
 
 import numpy as np
 
-from .gegenbauer import normalized_gegenbauer_table
+from .gegenbauer import _jacobi_blocks
 from .quadrature import (
     RULE_CACHE_SIZE,
     _finite_samples,
@@ -95,8 +105,18 @@ def compute_real_coeffs(
     alpha = 0.5 * (d - 2)
     u, weights = gauss_jacobi(_node_count(nodes, default_node_count(truncation)), alpha, alpha)
     values = _finite_samples(fn, np.arccos(u), float, "psi", "theta")
-    basis = normalized_gegenbauer_table(truncation, d, u)
-    coeffs = _harmonic_dimensions(d, truncation) * ((values * weights) @ basis.T)
+    half, middle = divmod(u.size, 2)
+    mirrored = values[: half + middle][::-1]
+    folded_weights = weights[half:].copy()
+    folded_weights[:middle] *= 0.5  # u = 0 is its own mirror
+    even = folded_weights * (values[half:] + mirrored)
+    odd = folded_weights * (values[half:] - mirrored)
+    sums = np.empty(truncation + 1)
+    for start, block in _jacobi_blocks(truncation, alpha, alpha, u[half:]):
+        stop = start + len(block)
+        sums[start:stop:2] = block[::2] @ even
+        sums[start + 1 : stop : 2] = block[1::2] @ odd
+    coeffs = _harmonic_dimensions(d, truncation) * sums
     _warn_if_under_resolved(coeffs)
     return RealSchoenbergSequence(d, coeffs)
 
@@ -108,6 +128,8 @@ def reconstruct(seq: RealSchoenbergSequence, theta):
     outside = ~((theta >= -1e-12) & (theta <= math.pi + 1e-12))
     if np.any(outside):
         raise ValueError(f"theta must lie in [0, pi], got {theta[outside][0]}")
-    basis = normalized_gegenbauer_table(seq.truncation, seq.d, np.cos(theta))
-    out = seq.coeffs @ basis
-    return float(out[0]) if scalar else out
+    alpha = 0.5 * (seq.d - 2)
+    out = np.zeros(theta.size)
+    for start, block in _jacobi_blocks(seq.truncation, alpha, alpha, np.cos(theta).ravel()):
+        out += seq.coeffs[start : start + len(block)] @ block
+    return float(out[0]) if scalar else out.reshape(theta.shape)

@@ -24,7 +24,7 @@ from .functions import (
     random_complex_sequence,
     random_real_sequence,
 )
-from .gegenbauer import _jacobi_table, normalized_gegenbauer_table
+from .gegenbauer import _jacobi_blocks
 from .quadrature import QuadratureResolutionWarning
 from .real_coeffs import compute_real_coeffs
 from .sequences import ComplexSchoenbergSequence, RealSchoenbergSequence
@@ -94,45 +94,47 @@ def _lift(seq):
     return ComplexSchoenbergSequence(seq.q, seq.entries, seq.max_degree + 2)
 
 
-def _legendre(n, x):
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0
-    p1 = x.copy()
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1
+def _legendre_rows(n_max, x):
+    rows = [np.ones_like(x), x]
+    for k in range(2, n_max + 1):
+        rows.append(((2 * k - 1) * x * rows[-1] - (k - 1) * rows[-2]) / k)
+    return np.array(rows)
+
+
+def _basis_rows(n_max, a, u):
+    # rows 0..n_max of the recurrence at a = b, read block by block from the
+    # generator both real transforms run; past row 63 they span blocks
+    return np.concatenate([block.copy() for _, block in _jacobi_blocks(n_max, a, a, u)])
 
 
 def _gegenbauer_recurrence(rng, tol):
-    # rows n - 2..n of the table at a = order - 1/2, scaled to 1 at 1: the
-    # Gegenbauer recurrence of that order in its normalized form
+    # every three consecutive rows at a = order - 1/2, scaled to 1 at 1,
+    # block boundaries included: the Gegenbauer recurrence of that order in
+    # its normalized form
     worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 60))
+    n = np.arange(2.0, 141.0)[:, None]
+    for _ in range(40):
         order = float(rng.uniform(0.05, 8.0))
-        u = float(rng.uniform(-1.0, 1.0))
-        c0, c1, c2 = _jacobi_table(n, order - 0.5, order - 0.5, u)[-3:]
+        u = rng.uniform(-1.0, 1.0, 5)
+        rows = _basis_rows(140, order - 0.5, u)
+        c0, c1, c2 = rows[:-2], rows[1:-1], rows[2:]
         lead, drop = 2.0 * u * (n + order - 1.0) * c1, (n - 1.0) * c0
         residual = (n + 2.0 * order - 1.0) * c2 - lead + drop
-        scale = max(abs((n + 2.0 * order - 1.0) * c2), abs(lead), 1.0)
-        worst = max(worst, abs(residual) / scale)
+        scale = np.maximum(np.maximum(np.abs((n + 2.0 * order - 1.0) * c2), np.abs(lead)), 1.0)
+        worst = max(worst, float(np.max(np.abs(residual) / scale)))
     return worst <= tol, f"max relative residual {worst:.2e}"
 
 
 def _legendre_agreement(rng, tol):
     # the S^2 basis is the Legendre one
     u = rng.uniform(-1.0, 1.0, 64)
-    table = normalized_gegenbauer_table(60, 2, u)
-    worst = max(float(np.max(np.abs(table[n] - _legendre(n, u)))) for n in range(61))
+    worst = float(np.max(np.abs(_basis_rows(140, 0.0, u) - _legendre_rows(140, u))))
     return worst <= tol, f"max abs difference {worst:.2e}"
 
 
 def _normalized_bound(rng, tol):
     u = np.linspace(-1.0, 1.0, 1001)
-    worst = max(
-        float(np.max(np.abs(normalized_gegenbauer_table(50, d, u)[::5]))) for d in (2, 3, 5, 8)
-    )
+    worst = max(float(np.max(np.abs(_basis_rows(140, 0.5 * (d - 2), u)))) for d in (2, 3, 5, 8))
     return worst <= 1.0 + tol, f"max |value| {worst:.15f}"
 
 

@@ -350,6 +350,9 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         (*ccoeffs, "--q", "3", "--M", "-1"),
         (*ccoeffs, "--M", "4", "--q", "1"),
         (*ccoeffs, "--q", "3", "--M", "4", "--nodes", "2.5"),
+        (*ccoeffs, "--q", "3", "--M", "4", "--m", "-1"),
+        (*ccoeffs, "--q", "3", "--M", "4", "--n", "-2"),
+        ("spd-check", "--in", str(src), "--q-prime", "1"),
     ):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--out", str(out), *argv[1:]])

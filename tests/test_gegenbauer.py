@@ -6,7 +6,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from schoenberg import gauss_jacobi
-from schoenberg.gegenbauer import _as_unit_interval, _jacobi_table, normalized_gegenbauer_table
+from schoenberg.gegenbauer import (
+    BLOCK_ROWS,
+    _as_unit_interval,
+    _jacobi_blocks,
+    _jacobi_table,
+    normalized_gegenbauer_table,
+)
 
 
 def legendre_eval(n, x):
@@ -66,6 +72,20 @@ def test_degree_one_is_linear():
     for a, b in ((-0.5, -0.5), (2.0, 2.0), (1.0, 2.0), (0.0, 7.0)):
         expected = ((a + b + 2.0) * x + a - b) / (2.0 * a + 2.0)
         assert np.allclose(_jacobi_table(1, a, b, x)[1], expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("a, b", [(-0.5, -0.5), (0.5, 0.5), (0.0, 24.0), (3.0, 1.0)])
+def test_blocks_are_the_table_rows_bit_for_bit(a, b):
+    # the table is the one-block case; a block's first rows read the last
+    # two of the block before, which its buffer has not yet overwritten
+    x = np.linspace(-1.0, 1.0, 33)
+    for k_max in (0, 1, 2, 63, 64, 65, 66, 130):
+        table = _jacobi_table(k_max, a, b, x)
+        starts = []
+        for start, block in _jacobi_blocks(k_max, a, b, x):
+            starts.append(start)
+            assert np.array_equal(block, table[start : start + len(block)]), (k_max, start)
+        assert starts == list(range(0, k_max + 1, BLOCK_ROWS))
 
 
 def test_order_half_matches_legendre_p2():

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,26 @@ from schoenberg import (
     random_real_sequence,
     reconstruct,
 )
+from schoenberg.gegenbauer import normalized_gegenbauer_table
+from schoenberg.quadrature import default_node_count
 from schoenberg.real_coeffs import _harmonic_dimensions
+
+
+def _table_coeffs(psi, d, truncation, nodes=None):
+    # the whole-table transform, the oracle for the folded one: samples at
+    # all K nodes and one (truncation + 1) x K basis table; also returns the
+    # sum of w |psi| that bounds each coefficient's rounding
+    alpha = 0.5 * (d - 2)
+    u, weights = gauss_jacobi(nodes or default_node_count(truncation), alpha, alpha)
+    values = psi(np.arccos(u))
+    basis = normalized_gegenbauer_table(truncation, d, u)
+    coeffs = _harmonic_dimensions(d, truncation) * ((values * weights) @ basis.T)
+    return coeffs, float(np.sum(weights * np.abs(values)))
+
+
+def _table_reconstruct(seq, theta):
+    # the whole-table sum, the oracle for the blocked one
+    return seq.coeffs @ normalized_gegenbauer_table(seq.truncation, seq.d, np.cos(theta))
 
 
 def test_harmonic_dimension_closed_forms():
@@ -184,3 +206,79 @@ def test_non_finite_psi_is_named():
     assert str(first) in str(info.value) and "nan" in str(info.value)
     with pytest.raises(ValueError, match="psi.*inf"):
         compute_real_coeffs(lambda theta: np.full_like(theta, np.inf), 2, 4)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 21, 101, 201])
+def test_reconstruct_matches_whole_table_oracle(d):
+    theta = np.linspace(0.0, np.pi, 777)
+    for truncation in (0, 1, 2, 63, 64, 65, 128, 512, 4000):
+        seq = random_real_sequence(d, truncation, seed=truncation + d)
+        bound = 1e-14 * np.abs(seq.coeffs).sum()
+        got = reconstruct(seq, theta)
+        assert np.max(np.abs(got - _table_reconstruct(seq, theta))) <= bound, truncation
+        scalar = reconstruct(seq, 0.7)
+        assert isinstance(scalar, float)
+        assert abs(scalar - _table_reconstruct(seq, 0.7)) <= bound, truncation
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_coefficients_match_whole_table_oracle(d):
+    # the folded sums round in another order than the whole-table ones, so
+    # each coefficient may move by a few roundings of its sum, scaled by
+    # N(d, n) (at most 2.7 of them here). At d <= 3, N <= 512 that is
+    # within 1e-13 max|b|; it reaches 1.3e-13 max|b| at d = 3, N = 2000,
+    # and at d = 5 1.5e-12 max|b| at N = 512 and 8e-11 max|b| at N = 2000,
+    # where both paths are off the exact mixture by 3.4e-10. Odd node
+    # counts carry u = 0.
+    eps = np.finfo(float).eps
+    mixture = isotropic_from_sequence(random_real_sequence(d, 16, seed=d))
+    for psi in (poisson_isotropic(0.5), mixture):
+        for truncation in (0, 1, 2, 63, 64, 65, 128, 512, 2000):
+            for nodes in (1, 2, 3, 129, None):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", QuadratureResolutionWarning)
+                    got = compute_real_coeffs(psi, d, truncation, nodes).coeffs
+                want, abs_sum = _table_coeffs(psi, d, truncation, nodes)
+                diff = np.abs(got - want)
+                rounding = eps * _harmonic_dimensions(d, truncation) * abs_sum
+                assert np.all(diff <= 16.0 * rounding), (truncation, nodes)
+                if d <= 3 and truncation <= 512:
+                    assert np.max(diff) <= 1e-13 * np.max(np.abs(want)), (truncation, nodes)
+
+
+def test_poisson_closed_form_errors_unchanged_at_d1_and_d3():
+    # d = 1: b_n = 2 r^n (1 - r) / (1 + r), b_0 half that; d = 3: b_n =
+    # (1 - r)^2 (n + 1) r^n. Folding must not add error beyond rounding.
+    eps = np.finfo(float).eps
+    for r in (0.2, 0.5, 0.9):
+        psi = poisson_isotropic(r)
+        for truncation in (25, 64, 512):
+            n = np.arange(truncation + 1)
+            exact = {
+                1: poisson_circle_coeffs(r, truncation).coeffs,
+                3: (1.0 - r) ** 2 * (n + 1.0) * r**n,
+            }
+            for d, want in exact.items():
+                new = np.max(np.abs(compute_real_coeffs(psi, d, truncation).coeffs - want))
+                old = np.max(np.abs(_table_coeffs(psi, d, truncation)[0] - want))
+                assert new <= 1.25 * old + 4.0 * eps, (r, truncation, d, new, old)
+
+
+def test_transforms_hold_one_block_of_rows():
+    # a whole basis table at N = 4000 by 2000 points, or N = 2000 by the
+    # 4032-node rule, is 64 MB; one 64-row block is about 1 MB
+    psi = poisson_isotropic(0.5)
+    seq = random_real_sequence(3, 4000, seed=0)
+    theta = np.linspace(0.0, np.pi, 2000)
+    compute_real_coeffs(psi, 3, 2000)  # builds and caches the rule
+    tracemalloc.start()
+    try:
+        reconstruct(seq, theta)
+        reconstruct_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        compute_real_coeffs(psi, 3, 2000)
+        coeffs_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reconstruct_peak < 4e6
+    assert coeffs_peak < 8e6
