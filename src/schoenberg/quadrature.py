@@ -3,7 +3,7 @@
 Every coefficient integral is an integral against a Jacobi weight, so one
 rule family serves them all: :func:`gauss_jacobi` builds the Gauss rule of
 the probability measure proportional to ``(1 - x)^alpha (1 + x)^beta`` on
-``[-1, 1]`` from Golub-Welsch eigenvalues polished by one Newton sweep.
+``[-1, 1]`` from seed nodes polished by one Newton sweep.
 
 * On S^d the substitution ``u = cos(theta)`` turns the surface measure into
   ``(1 - u^2)^((d-2)/2) du``, so ``real_coeffs`` uses the Gauss-Jacobi rule
@@ -15,12 +15,25 @@ the probability measure proportional to ``(1 - x)^alpha (1 + x)^beta`` on
 So a transform's rule is fixed by its sphere and one size, and both
 transforms take that size alone, as ``nodes``.
 
+The seeds come from one of two builders:
+
+* For alpha, beta <= ``ASYMPTOTIC_MAX`` (5, which covers every S^d up to
+  d = 12 and every disk up to q = 7) the seeds are the asymptotic interior
+  nodes of Gatteschi and Pittaluga, brought to double precision by
+  whole-array Newton sweeps of the three-term recurrence (Hale & Townsend
+  2013, *Fast and accurate computation of Gauss-Legendre and Gauss-Jacobi
+  quadrature nodes and weights*, SIAM J. Sci. Comput. 35). They take O(K)
+  memory and O(K^2) time.
+* Above that, and whenever the sweeps miss their budget or do not give
+  strictly increasing nodes inside (-1, 1), the seeds are the eigenvalues
+  of the dense Jacobi matrix (Golub & Welsch 1969), O(K^2) memory.
+
 Weights sum to 1: the rules integrate against probability measures, so
 both transforms warn when a sequence's absolute mass exceeds 1.
 
-A symmetric rule (``alpha == beta``, every rule of S^d) is seeded from a
-Jacobi matrix of half the size, in ``y = 2 x^2 - 1``, and mirrored, so its
-nodes are exactly antisymmetric. Rules are cached per process by
+A symmetric rule (``alpha == beta``, every rule of S^d) is seeded from the
+nodes of a problem of half the size in ``y = 2 x^2 - 1`` and mirrored, so
+its nodes are exactly antisymmetric. Rules are cached per process by
 ``(n_nodes, alpha, beta)`` and returned as read-only arrays shared by every
 caller: copy one before changing it.
 """
@@ -67,33 +80,48 @@ def _integer(name: str, value) -> int:
 #: Gauss-Jacobi rules kept per process; the least recently used goes first
 RULE_CACHE_SIZE = 32
 
+#: largest alpha and beta whose nodes come from asymptotic seeds and Newton
+ASYMPTOTIC_MAX = 5.0
+
+#: Newton sweeps allowed before the nodes fall back to the eigenvalue seed
+NEWTON_SWEEPS = 8
+
+#: largest node step of the sweep after which the nodes are returned
+NEWTON_TOL = 1e-13
+
 
 def gauss_jacobi(n_nodes: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes and weights for the weight (1 - x)^alpha (1 + x)^beta.
 
     The weight is normalized to a probability measure on [-1, 1], so the
     weights sum to 1; the rule is exact for polynomials of degree below
-    ``2 * n_nodes``. Eigenvalues of a symmetric Jacobi matrix (Golub &
-    Welsch 1969) seed the nodes, and one Newton step on the degree-K
-    orthonormal polynomial polishes them; weights are the Christoffel
-    numbers ``1 / sum_k p_k(x_i)^2`` over p_0..p_{K-1}.
+    ``2 * n_nodes``. For alpha, beta <= ``ASYMPTOTIC_MAX`` the seeds are
+    asymptotic nodes (Gatteschi-Pittaluga) taken to convergence by at most
+    ``NEWTON_SWEEPS`` whole-array Newton sweeps, in O(K) memory; otherwise,
+    or when those sweeps fail, they are the eigenvalues of the dense
+    Jacobi matrix (Golub & Welsch 1969). One Newton step on the degree-K
+    orthonormal polynomial then polishes either seed; weights are the
+    Christoffel numbers ``1 / sum_k p_k(x_i)^2`` over p_0..p_{K-1}.
 
     For ``alpha == beta`` the rule is symmetric and half of it is built:
     with ``y = 2 x^2 - 1``, the positive nodes of the K-node rule are
     ``sqrt((1 + y) / 2)`` at the ``K // 2`` Gauss nodes y of
     ``(1 - y)^alpha (1 + y)^(-1/2)`` for even K, and of
-    ``(1 - y)^alpha (1 + y)^(1/2)`` plus the node 0 for odd K. The Jacobi
-    matrix is half the size, the sweep runs over the nonnegative nodes
+    ``(1 - y)^alpha (1 + y)^(1/2)`` plus the node 0 for odd K. The seed
+    problem is half the size, the sweep runs over the nonnegative nodes
     only, and the result is mirrored: the nodes are exactly antisymmetric.
 
     Rules are cached per process (the last ``RULE_CACHE_SIZE`` argument
     triples), so a repeated call returns the same two arrays. They are
-    read-only: copy them before changing them.
+    read-only: copy them before changing them. ``alpha`` and ``beta`` must
+    be real numbers, not booleans, finite and above -1.
     """
     n = _integer("n_nodes", n_nodes)
     if n < 1:
         raise ValueError(f"need at least one node, got n_nodes={n}")
     for name, value in (("alpha", alpha), ("beta", beta)):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {name}={value!r}")
         if not (math.isfinite(value) and value > -1.0):
             raise ValueError(f"{name} must be finite and exceed -1, got {name}={value!r}")
     return _gauss_jacobi(n, float(alpha), float(beta))
@@ -139,13 +167,66 @@ def _jacobi_matrix(n: int, a: float, b: float):
 
 
 def _jacobi_eigenvalues(n: int, a: float, b: float) -> np.ndarray:
-    """Gauss-Jacobi nodes of order n as eigenvalues, ascending, unpolished."""
+    """Gauss-Jacobi nodes of order n, ascending, unpolished.
+
+    For alpha and beta up to ``ASYMPTOTIC_MAX``, Newton sweeps from
+    asymptotic seeds give them in O(n) memory. Otherwise, or when the
+    sweeps fail, they are the eigenvalues of the dense Jacobi matrix.
+    """
     if n == 0:
         return np.empty(0)
     diag, off = _jacobi_matrix(n, a, b)
+    if max(a, b) <= ASYMPTOTIC_MAX:
+        x = _newton_nodes(_asymptotic_seeds(n, a, b), diag, off)
+        if x is not None:
+            return x
     jacobi = np.diag(diag)
     jacobi.flat[n :: n + 1] = off[:-1]  # subdiagonal: only "L" is read
     return np.linalg.eigvalsh(jacobi, UPLO="L")
+
+
+def _asymptotic_seeds(n: int, a: float, b: float) -> np.ndarray:
+    """The nodes of order n by the interior asymptotic formula, ascending.
+
+    Gatteschi and Pittaluga's t_k = phi_k + ((1/4 - a^2) cot(phi_k / 2)
+    - (1/4 - b^2) tan(phi_k / 2)) / (2 rho)^2, with rho = n + (a + b + 1) / 2
+    and phi_k = (k + a / 2 - 1/4) pi / rho, gives x_k = cos(t_k) (Hale &
+    Townsend 2013). It is exact for |a| = |b| = 1/2.
+    """
+    rho = n + 0.5 * (a + b + 1.0)
+    phi = (np.arange(n, 0, -1) + 0.5 * a - 0.25) * (np.pi / rho)
+    tan_half = np.tan(0.5 * phi)
+    return np.cos(phi + ((0.25 - a * a) / tan_half - (0.25 - b * b) * tan_half) / (2.0 * rho) ** 2)
+
+
+def _newton_nodes(x, diag, off):
+    """Nodes from the seeds ``x`` by whole-array Newton sweeps on p_n, or None.
+
+    Each sweep runs the orthonormal recurrence for p_n and p_n' at every
+    node whose last step exceeded ``NEWTON_TOL``; after the first sweep
+    from the asymptotic seeds only a few such nodes remain. None when
+    ``NEWTON_SWEEPS`` sweeps leave one, or the nodes are not strictly
+    increasing inside (-1, 1).
+    """
+    active = np.arange(len(x))
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_SWEEPS):
+            y = x[active]
+            p_prev, p = np.zeros_like(y), np.ones_like(y)
+            dp_prev, dp = np.zeros_like(y), np.zeros_like(y)
+            for k in range(len(diag)):
+                shifted, b_prev = y - diag[k], off[k - 1] if k else 0.0
+                p_next = (shifted * p - b_prev * p_prev) / off[k]
+                dp_next = (p + shifted * dp - b_prev * dp_prev) / off[k]
+                p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+            step = p / dp
+            x[active] = y - step
+            # a NaN step compares False, so its node stays active
+            active = active[~(np.abs(step) <= NEWTON_TOL)]
+            if not active.size:
+                inside = -1.0 < x[0] and x[-1] < 1.0 and bool(np.all(np.diff(x) > 0.0))
+                return x if inside else None
+    return None
 
 
 def _newton_christoffel(x, diag, off, label):
@@ -193,6 +274,9 @@ def _finite_samples(fn, nodes: np.ndarray, dtype, name: str, var: str) -> np.nda
 
 def default_node_count(truncation: int) -> int:
     """Node count giving polynomial exactness plus margin for analytic inputs."""
+    truncation = _integer("truncation", truncation)
+    if truncation < 0:
+        raise ValueError(f"truncation must be nonnegative, got truncation={truncation}")
     return max(128, 2 * truncation + 32)
 
 

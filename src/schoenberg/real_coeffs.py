@@ -68,7 +68,10 @@ def harmonic_dimension(n: int, d: int) -> float:
         - math.lgamma(n + 1.0)
         - math.lgamma(float(d))
     )
-    return math.exp(log_value)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(f"N(d, n) at n={n}, d={d} exceeds double precision") from None
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)

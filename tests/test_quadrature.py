@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from schoenberg import (
     compute_complex_coeffs,
     compute_real_coeffs,
     constant_isotropic,
+    default_node_count,
     disk_constant,
     disk_from_sequence,
     gauss_jacobi,
@@ -20,6 +22,7 @@ from schoenberg import (
     support_pattern,
     walk_down,
 )
+from schoenberg import quadrature
 
 
 def beta_moment(k, alpha, beta):
@@ -238,6 +241,75 @@ def test_chebyshev_rule_matches_closed_form():
         assert np.max(np.abs(w - 1.0 / n_nodes)) <= 1e-14
 
 
+def eigvalsh_seed(n, alpha, beta):
+    """Order-n nodes as eigenvalues of the dense Jacobi matrix, ascending.
+
+    The O(n^2)-memory seed the builder falls back to, kept here as the
+    oracle of its asymptotic-seed fast path.
+    """
+    if n == 0:
+        return np.empty(0)
+    diag, off = quadrature._jacobi_matrix(n, alpha, beta)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0, 4.5, 5.0])
+def test_asymptotic_seeds_match_eigvalsh_seeds(alpha, monkeypatch):
+    # the same polish, mirroring and weights from either seed; only the
+    # seed differs. At alpha = -0.9 the endpoint weights carry ~1e-11
+    # relative rounding from either seed (against a 40-digit reference), so
+    # the two rules can differ by more than 5e-14 there. K = 4032 runs on
+    # the symmetric rules only: their oracle solves a 2016-order matrix,
+    # where the unsymmetric ones would need a 4032-order one each
+    build = quadrature._gauss_jacobi.__wrapped__
+    weight_tol = 1e-12 if alpha < -0.5 else 5e-14
+    fast = {}
+    for beta in sorted({-0.5, 0.0, 0.5, alpha}):
+        for n_nodes in [*range(1, 81), 416, 832, 1056, *([4032] if beta == alpha else [])]:
+            fast[beta, n_nodes] = build(n_nodes, alpha, beta)
+    monkeypatch.setattr(quadrature, "_jacobi_eigenvalues", eigvalsh_seed)
+    for (beta, n_nodes), (x, w) in fast.items():
+        x_ref, w_ref = build(n_nodes, alpha, beta)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15, (n_nodes, alpha, beta)
+        assert np.max(np.abs(w - w_ref)) <= weight_tol, (n_nodes, alpha, beta)
+
+
+def test_failed_sweeps_fall_back_to_eigenvalue_seeds(monkeypatch):
+    # sweeps that converge two seeds to one node, or miss their budget,
+    # return nothing: the rule then comes from the eigenvalue seed
+    diag, off = quadrature._jacobi_matrix(12, 0.5, 0.0)
+    seeds = quadrature._asymptotic_seeds(12, 0.5, 0.0)
+    seeds[1] = seeds[0]
+    assert quadrature._newton_nodes(seeds, diag, off) is None
+    x_fast, w_fast = gauss_jacobi(40, 0.5, 0.0)
+    monkeypatch.setattr(quadrature, "NEWTON_SWEEPS", 0)
+    x, w = quadrature._gauss_jacobi.__wrapped__(40, 0.5, 0.0)
+    assert np.max(np.abs(x - x_fast)) <= 1e-15
+    assert np.max(np.abs(w - w_fast)) <= 5e-14
+
+
+def test_chebyshev_second_kind_rule_matches_closed_form():
+    # at alpha = beta = 1/2: nodes cos(j pi / (K + 1)) and weights
+    # 2 sin^2(j pi / (K + 1)) / (K + 1)
+    for n_nodes in (1, 2, 3, 160, 161, 1056, 4032):
+        x, w = gauss_jacobi(n_nodes, 0.5, 0.5)
+        angle = np.arange(n_nodes, 0, -1) * np.pi / (n_nodes + 1)
+        assert np.max(np.abs(x - np.cos(angle))) <= 1e-14
+        assert np.max(np.abs(w - 2.0 * np.sin(angle) ** 2 / (n_nodes + 1))) <= 1e-14
+
+
+def test_cold_rule_build_takes_linear_memory():
+    # the dense 2016-order Jacobi matrix of the eigenvalue seed alone is 32 MB
+    quadrature._gauss_jacobi.cache_clear()
+    tracemalloc.start()
+    try:
+        gauss_jacobi(4032, 0.5, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_interval_rule_nodes_mirror_exactly():
     for d in (1, 2, 3, 5, 50):
         for n_nodes in (1, 2, 7, 8, 160, 161):
@@ -270,6 +342,31 @@ def test_gauss_jacobi_rejects_bad_arguments_before_the_cache():
     with pytest.raises(ValueError, match="n_nodes must be an integer, got 8.0"):
         gauss_jacobi(8.0, 0.5, 0.5)
     assert len(gauss_jacobi(np.int64(8), 0.5, 0.5)[0]) == 8
+
+
+def test_gauss_jacobi_exponents_must_be_real_numbers():
+    # True hashes like 1.0, so a cached alpha = 1 rule must not let it through
+    gauss_jacobi(3, 1.0, 0.0)
+    for alpha, beta, name in (
+        (True, 0.0, "alpha"),
+        ("1", 0.0, "alpha"),
+        (0.0, np.bool_(False), "beta"),
+        (0.0, 1j, "beta"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {name}="):
+            gauss_jacobi(3, alpha, beta)
+    assert len(gauss_jacobi(3, np.float32(0.5), np.int64(0))[0]) == 3
+
+
+def test_default_node_count_checks_its_argument():
+    assert default_node_count(0) == 128 and default_node_count(np.int64(100)) == 232
+    for bad, message in (
+        (2.5, "truncation must be an integer"),
+        (True, "truncation must be an integer"),
+        (-5, "truncation must be nonnegative, got truncation=-5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            default_node_count(bad)
 
 
 def test_resolution_warning_points_at_the_caller():

@@ -69,6 +69,12 @@ def test_harmonic_dimension_rejects_bad_arguments():
             harmonic_dimension(3, bad)
 
 
+def test_harmonic_dimension_overflow_names_its_arguments():
+    # the log-gamma form cannot overflow, but its exponential can
+    with pytest.raises(OverflowError, match=r"n=1000000, d=1000000 exceeds double precision"):
+        harmonic_dimension(10**6, 10**6)
+
+
 def test_kappa_orthonormality_oracle():
     # the normalization N(d, n) is correct iff the coefficient map sends the
     # degree-n basis polynomial to the one-hot vector e_n
