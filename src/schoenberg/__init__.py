@@ -6,7 +6,7 @@ inverse dimension walks, and run truncated strict positive definiteness
 diagnostics. See the README for the CLI and the JSON wire formats.
 """
 from .complex_coeffs import compute_complex_coeffs, reconstruct_complex
-from .disk_polys import DiskRule, disk_poly_eval, h_norm
+from .disk_polys import disk_poly_eval, h_norm
 from .functions import (
     DiskFunction,
     IsotropicFunction,
@@ -64,7 +64,6 @@ __all__ = [
     "ClassImplication",
     "ComplexSchoenbergSequence",
     "DiskFunction",
-    "DiskRule",
     "IsotropicFunction",
     "QuadratureResolutionWarning",
     "RealSchoenbergSequence",

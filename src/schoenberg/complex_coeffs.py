@@ -5,10 +5,10 @@ parameter q is
 
     a_{m,n} = h(m, n, q) * integral phi(z) conj(R_{m,n}(z)) d nu(z),
 
-evaluated with the disk product rule ``disk_polys.DiskRule(q, R, A)``: R
-Gauss-Jacobi radii in s = r^2 for the measure at q, crossed with A uniform
-angles. The rule is fixed by q, the radial count R a caller may choose as
-``nodes``, and A = 4M + 8 for max degree M.
+evaluated with the disk product rule: R Gauss-Jacobi (q - 2, 0) radii in
+s = r^2 for the measure at q, crossed with A uniform angles. The rule is
+fixed by q, the radial count R a caller may choose as ``nodes``, and
+A = 4M + 8 for max degree M.
 Coefficients of positive definite functions are real and nonnegative; the
 imaginary residue the quadrature leaves behind is tracked as a diagnostic
 rather than silently dropped, since a large residue means either a
@@ -19,12 +19,13 @@ with l = m - n and k = min(m, n), so the angular factor depends only on
 the diagonal l and the radial factor only on (k, |l|):
 
 * ``compute_complex_coeffs`` works from a plan built once per process for
-  each (rule, max degree M) and kept like the Gauss-Jacobi rules (the last
+  each (q, R, M) and kept like the Gauss-Jacobi rules (the last
   ``RULE_CACHE_SIZE``, read-only). The plan holds the rule's R A sample
   nodes, the angular phases cos(l t) and sin(l t) for l = 0..M and the
   radial operator: for each |l| the rows h(m, n, q) w_i r_i^|l|
-  p_k(2 r_i^2 - 1) over the R radii, from one normalized Jacobi table,
-  shared by the diagonals +-|l|. Building it costs O(M^2 R) plus O(A M)
+  p_k(2 r_i^2 - 1) over the R radii, shared by the diagonals +-|l|, from
+  one pass of the Jacobi recurrence over k for every |l| at once
+  (``gegenbauer._jacobi_rows``). Building it costs O(M^2 R) plus O(A M)
   phases. Each call then pays only array operations: one real matrix
   product of the R x A samples with the phases gives the modes of all
   2M + 1 diagonals at every radius, O(R A M), and one small product per
@@ -51,14 +52,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disk_polys import DiskRule, _disk_points, h_norm
-from .gegenbauer import _jacobi_sums, _jacobi_table
+from .disk_polys import _disk_points, h_norm
+from .gegenbauer import _jacobi_rows, _jacobi_sums
 from .quadrature import (
     RULE_CACHE_SIZE,
     _finite_samples,
     _integer,
     _node_count,
     _warn_if_under_resolved,
+    gauss_jacobi,
 )
 from .sequences import ComplexSchoenbergSequence, _diagonal_entries, _Entries
 
@@ -66,10 +68,11 @@ __all__ = ["compute_complex_coeffs", "reconstruct_complex"]
 
 
 class _DiskPlan(NamedTuple):
-    """Everything of the disk transform fixed by (rule, M); arrays read-only.
+    """Everything of the disk transform fixed by (q, R, M); arrays read-only.
 
-    ``nodes`` (R A,) are the rule's sample points; ``phases`` (A, 2M + 2)
-    holds cos(l t_j), then sin(l t_j), for l = 0..M; ``radial[s]``
+    ``nodes`` (R A,) are the rule's sample points, the A angles at each
+    radius in turn; ``phases`` (A, 2M + 2) holds cos(l t_j), then
+    sin(l t_j), for l = 0..M; ``radial[s]``
     (k_max + 1, R) holds the rows h(k + s, k, q) w_i r_i^s p_k(2 r_i^2 - 1),
     shared by the diagonals l = +-s, since h(m, n, q) is symmetric; ``keys``
     (rows m, n) are the entries' bi-degrees in output order, k-major within
@@ -83,24 +86,30 @@ class _DiskPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def _disk_plan(rule: DiskRule, max_degree: int) -> _DiskPlan:
-    """The plan for coefficients up to max_degree from samples on ``rule``."""
-    q, angles = rule.q, rule.angular_nodes
-    radii, weights = rule.polar()
+def _disk_plan(q: int, radial_nodes: int, max_degree: int) -> _DiskPlan:
+    """The plan for coefficients up to M = max_degree at q, on R = radial_nodes by 4M + 8."""
+    angles = 4 * max_degree + 8
+    t, weights = gauss_jacobi(radial_nodes, q - 2, 0)
+    radii, weights = np.sqrt(0.5 * (1.0 + t)), weights / angles  # s = (1 + t) / 2
+    phi = 2.0 * np.pi * np.arange(angles) / angles
+    nodes = (np.outer(radii, np.cos(phi)) + 1j * np.outer(radii, np.sin(phi))).ravel()
     # the phase index j l is reduced mod A, so l aliases onto l mod A exactly
     angle = 2.0 * np.pi / angles * (np.outer(np.arange(angles), np.arange(max_degree + 1)) % angles)
     phases = np.hstack((np.cos(angle), np.sin(angle)))
-    keys, radial = [], []
-    x = 2.0 * radii**2 - 1.0
-    for size in range(max_degree + 1):
-        table = _jacobi_table((max_degree - size) // 2, q - 2, size, x)
+    sizes = np.arange(max_degree + 1)
+    top = (max_degree - sizes) // 2
+    radial = [np.empty((k + 1, radial_nodes)) for k in top]
+    for k, rows in _jacobi_rows(q - 2, sizes, top, 2.0 * radii**2 - 1.0):
+        for table, row in zip(radial, rows):
+            table[k] = row
+    keys = []
+    for size, table in enumerate(radial):
         table *= weights * radii**size
         table *= np.array([h_norm(k + size, k, q) for k in range(len(table))])[:, None]
         table.flags.writeable = False
-        radial.append(table)
         for k in range(len(table)):
             keys += [(k + size, k), (k, k + size)] if size else [(k, k)]
-    plan = _DiskPlan(rule.complex_nodes, np.array(keys), phases, tuple(radial))
+    plan = _DiskPlan(nodes, np.array(keys), phases, tuple(radial))
     for array in plan[:3]:
         array.flags.writeable = False
     return plan
@@ -126,16 +135,18 @@ def compute_complex_coeffs(
     max_degree = _integer("max_degree", max_degree)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    q = _integer("q", q)
+    if q < 2:
+        raise ValueError("q must be >= 2")
     fn = getattr(phi, "eval", phi)
     radial = _node_count(nodes, max_degree + q + 12)
-    rule = DiskRule(q, radial, 4 * max_degree + 8)
-    plan = _disk_plan(rule, max_degree)
+    plan = _disk_plan(q, radial, max_degree)
     values = _finite_samples(fn, plan.nodes, complex, "phi", "z")
     # mode l at radius r_i is sum_j phi(r_i e^{i t_j}) e^{-i l t_j}; with
     # phi = x + iy, one real product gives x cos, x sin, y cos and y sin,
     # and mode +-l is (x cos +- y sin) + i (y cos -+ x sin). Real, not complex:
     # a complex product loads the complex BLAS kernels (about +0.4 MB).
-    sums = np.stack((values.real, values.imag)).reshape(2, -1, rule.angular_nodes) @ plan.phases
+    sums = np.stack((values.real, values.imag)).reshape(2, radial, -1) @ plan.phases
     (x_cos, y_cos), (x_sin, y_sin) = np.split(sums, 2, axis=-1)
     modes = np.stack((x_cos + y_sin, y_cos - x_sin, x_cos - y_sin, y_cos + x_sin), axis=-1)
     # per size s, the rows (k, s) times the modes of l = +-s as (re, im)

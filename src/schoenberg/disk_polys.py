@@ -23,26 +23,23 @@ recursion
 
 R_{m,n} separates into a radial factor that depends only on (k, |m - n|)
 and an angular factor that depends only on the diagonal l = m - n. The
-radial factors p_0, p_1, ... of one diagonal are the rows of
-``gegenbauer._jacobi_table``, the normalized recurrence that also builds
-the real-sphere basis. It serves ``disk_poly_eval`` and the transforms in
-``complex_coeffs``, which take a whole diagonal's table at once instead of
-evaluating every R_{m,n} from scratch.
-
-The product quadrature of nu is a ``DiskRule``, which holds only (q, R, A):
-this module alone knows the layout of its nodes.
+radial factors p_0, p_1, ... are the rows of ``gegenbauer._jacobi_rows``,
+the normalized Jacobi recurrence run for many |m - n| at once. It serves
+``disk_poly_eval`` and the transforms in ``complex_coeffs``, which take
+every diagonal's rows in one pass instead of evaluating every R_{m,n}
+from scratch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb, pi
+import numbers
+from math import comb, isfinite
 
 import numpy as np
 
-from .gegenbauer import _jacobi_table
-from .quadrature import _integer, gauss_jacobi
+from .gegenbauer import _jacobi_rows
+from .quadrature import _integer
 
-__all__ = ["DiskRule", "disk_poly_eval", "h_norm"]
+__all__ = ["disk_poly_eval", "h_norm"]
 
 #: |z| may exceed 1 by at most this before being rejected
 DISK_BOUNDARY_TOL = 1e-12
@@ -67,20 +64,27 @@ def _disk_points(z):
     return z, np.minimum(radius_sq, 1.0)
 
 
-def disk_poly_eval(m: int, n: int, alpha: int, z):
+def disk_poly_eval(m: int, n: int, alpha: float, z):
     """Evaluate the bi-degree (m, n) disk polynomial of parameter alpha at z.
 
     z may be a scalar or array of complex numbers with |z| <= 1 (a 1e-12
     margin is clamped). The radial part is evaluated in s = |z|^2, keeping
-    full accuracy near the rim.
+    full accuracy near the rim. ``alpha`` must be a real number, not a
+    boolean, finite and nonnegative.
     """
     m, n = _integer("m", m), _integer("n", n)
-    if m < 0 or n < 0 or alpha < 0:
-        raise ValueError("m, n and alpha must all be nonnegative")
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be nonnegative")
+    if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
+        raise ValueError(f"alpha must be a real number, got alpha={alpha!r}")
+    if not (isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and nonnegative, got alpha={alpha!r}")
     scalar = np.ndim(z) == 0
     z, radius_sq = _disk_points(z)
-    radial = _jacobi_table(min(m, n), alpha, abs(m - n), 2.0 * radius_sq - 1.0)[-1]
-    out = radial * _angular(m - n, z)
+    x = 2.0 * radius_sq.ravel() - 1.0
+    for _, radial in _jacobi_rows(alpha, [abs(m - n)], [min(m, n)], x):
+        pass  # the last row is degree min(m, n)
+    out = radial.reshape(z.shape) * _angular(m - n, z)
     return complex(out) if scalar else out
 
 
@@ -93,46 +97,3 @@ def h_norm(m: int, n: int, q: int) -> float:
         raise ValueError("m and n must be nonnegative")
     return (m + n + q - 1) / (q - 1) * comb(m + q - 2, q - 2) * comb(n + q - 2, q - 2)
 
-
-@dataclass(frozen=True)
-class DiskRule:
-    """Product quadrature for the disk probability measure at parameter q - 2.
-
-    R = ``radial_nodes`` Gauss-Jacobi (q - 2, 0) nodes for the radial density
-    (q - 1) (1 - s)^(q-2) in s = r^2, crossed with A = ``angular_nodes``
-    uniform angles (exact for trigonometric polynomials of degree below A).
-    The rule is its three integers, so equal rules hash alike; its nodes run
-    over the A angles at each radius in turn, and its weights sum to 1.
-    """
-
-    q: int
-    radial_nodes: int
-    angular_nodes: int
-
-    def __post_init__(self):
-        for name in ("q", "radial_nodes", "angular_nodes"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
-        if self.radial_nodes < 1 or self.angular_nodes < 1:
-            raise ValueError(
-                f"need at least one node, got radial_nodes={self.radial_nodes}, "
-                f"angular_nodes={self.angular_nodes}"
-            )
-
-    def polar(self):
-        """The R radii, and the weight of each node on the circle of each radius."""
-        t, radial_weight = gauss_jacobi(self.radial_nodes, self.q - 2, 0)
-        return np.sqrt(0.5 * (1.0 + t)), radial_weight / self.angular_nodes  # s = (1 + t) / 2
-
-    @property
-    def complex_nodes(self) -> np.ndarray:
-        """The R A nodes r_i e^{2 pi i j / A}, j = 0..A-1 at each radius r_i in turn."""
-        radii, _ = self.polar()
-        phi = 2.0 * pi * np.arange(self.angular_nodes) / self.angular_nodes
-        return (np.outer(radii, np.cos(phi)) + 1j * np.outer(radii, np.sin(phi))).ravel()
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The weight of each node, in the order of ``complex_nodes``."""
-        return np.repeat(self.polar()[1], self.angular_nodes)

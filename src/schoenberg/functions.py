@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .complex_coeffs import reconstruct_complex
+from .quadrature import _integer
 from .real_coeffs import reconstruct
 from .sequences import ComplexSchoenbergSequence, RealSchoenbergSequence
 
@@ -106,6 +107,9 @@ def poisson_circle_coeffs(r: float, truncation: int) -> RealSchoenbergSequence:
     """Closed-form circle coefficients of the normalized Poisson kernel."""
     if not 0.0 < r < 1.0:
         raise ValueError("poisson parameter r must lie in (0, 1)")
+    truncation = _integer("truncation", truncation)
+    if truncation < 0:
+        raise ValueError(f"truncation must be nonnegative, got {truncation}")
     scale = (1.0 - r) / (1.0 + r)
     coeffs = np.empty(truncation + 1)
     coeffs[0] = scale

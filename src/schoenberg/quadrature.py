@@ -9,8 +9,8 @@ the probability measure proportional to ``(1 - x)^alpha (1 + x)^beta`` on
   ``(1 - u^2)^((d-2)/2) du``, so ``real_coeffs`` uses the Gauss-Jacobi rule
   with ``alpha = beta = (d - 2) / 2`` for every d >= 1 (Chebyshev at
   d = 1, Legendre at d = 2). It is exact for polynomial integrands.
-* The disk rule ``disk_polys.DiskRule`` uses ``alpha = q - 2``, ``beta = 0``
-  in ``s = r^2``, crossed with a uniform angular grid.
+* The disk transform in ``complex_coeffs`` uses ``alpha = q - 2``,
+  ``beta = 0`` in ``s = r^2``, crossed with a uniform angular grid.
 
 So a transform's rule is fixed by its sphere and one size, and both
 transforms take that size alone, as ``nodes``.

@@ -115,7 +115,7 @@ def compute_real_coeffs(
     even = folded_weights * (values[half:] + mirrored)
     odd = folded_weights * (values[half:] - mirrored)
     sums = np.empty(truncation + 1)
-    for start, block in _jacobi_blocks(truncation, alpha, alpha, u[half:]):
+    for start, block in _jacobi_blocks(truncation, alpha, u[half:]):
         stop = start + len(block)
         sums[start:stop:2] = block[::2] @ even
         sums[start + 1 : stop : 2] = block[1::2] @ odd
@@ -133,6 +133,6 @@ def reconstruct(seq: RealSchoenbergSequence, theta):
         raise ValueError(f"theta must lie in [0, pi], got {theta[outside][0]}")
     alpha = 0.5 * (seq.d - 2)
     out = np.zeros(theta.size)
-    for start, block in _jacobi_blocks(seq.truncation, alpha, alpha, np.cos(theta).ravel()):
+    for start, block in _jacobi_blocks(seq.truncation, alpha, np.cos(theta).ravel()):
         out += seq.coeffs[start : start + len(block)] @ block
     return float(out[0]) if scalar else out.reshape(theta.shape)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .complex_coeffs import compute_complex_coeffs
-from .disk_polys import DiskRule, disk_poly_eval, h_norm
+from .disk_polys import disk_poly_eval, h_norm
 from .functions import (
     disk_from_sequence,
     isotropic_from_sequence,
@@ -25,7 +25,7 @@ from .functions import (
     random_real_sequence,
 )
 from .gegenbauer import _jacobi_blocks
-from .quadrature import QuadratureResolutionWarning
+from .quadrature import QuadratureResolutionWarning, gauss_jacobi
 from .real_coeffs import compute_real_coeffs
 from .sequences import ComplexSchoenbergSequence, RealSchoenbergSequence
 from .spd import check_progressions, support_pattern
@@ -104,7 +104,7 @@ def _legendre_rows(n_max, x):
 def _basis_rows(n_max, a, u):
     # rows 0..n_max of the recurrence at a = b, read block by block from the
     # generator both real transforms run; past row 63 they span blocks
-    return np.concatenate([block.copy() for _, block in _jacobi_blocks(n_max, a, a, u)])
+    return np.concatenate([block.copy() for _, block in _jacobi_blocks(n_max, a, u)])
 
 
 def _gegenbauer_recurrence(rng, tol):
@@ -205,8 +205,10 @@ def _cross_projection(rng, tol):
 def _disk_orthogonality(rng, tol):
     worst = 0.0
     for q in (2, 3, 4, 5):
-        rule = DiskRule(q, 40, 64)
-        z, w = rule.complex_nodes, rule.weights
+        # the 40 x 64 product rule, built here apart from the disk plan
+        t, mass = gauss_jacobi(40, q - 2, 0)
+        z = (np.sqrt(0.5 * (1.0 + t))[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
+        w = np.repeat(mass / 64, 64)
         pairs = [(m, n) for m in range(7) for n in range(7)]
         table = np.array([disk_poly_eval(m, n, q - 2, z) for m, n in pairs])
         gram = (table * w) @ table.conj().T

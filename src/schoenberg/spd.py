@@ -215,6 +215,7 @@ def transfer_class(
     follows from class nesting; for q' > q it must be supplied. Rules whose
     premises are unknown are simply not emitted.
     """
+    q_prime = _integer("q_prime", q_prime)
     if q_prime < 2:
         raise ValueError("q_prime must be >= 2")
     member_q = bool(seq_q.valid_mass)

@@ -5,7 +5,6 @@ import pytest
 
 from schoenberg import (
     ComplexSchoenbergSequence,
-    DiskRule,
     QuadratureResolutionWarning,
     compute_complex_coeffs,
     disk_constant,
@@ -17,11 +16,12 @@ from schoenberg import (
     reconstruct_complex,
 )
 from schoenberg import complex_coeffs
+from test_disk_polys import disk_rule
 
 
 def default_rule(q, max_degree):
     """The rule compute_complex_coeffs builds when no ``nodes`` are given."""
-    return DiskRule(q, max_degree + q + 12, 4 * max_degree + 8)
+    return disk_rule(q, max_degree + q + 12, 4 * max_degree + 8)
 
 
 def entry_error(a: ComplexSchoenbergSequence, b: ComplexSchoenbergSequence) -> float:
@@ -154,7 +154,7 @@ def test_basis_functions_are_orthonormal_under_map():
 
 def per_bidegree_sum(phi, q, max_degree, rule):
     """Reference: h(m, n, q) * sum_i w_i phi(z_i) conj(R_{m,n}(z_i)), entry by entry."""
-    z, w = rule.complex_nodes, rule.weights
+    z, w = rule
     weighted = w * phi(z)
     return {
         (m, n): h_norm(m, n, q) * np.sum(weighted * np.conj(disk_poly_eval(m, n, q - 2, z)))
@@ -195,7 +195,7 @@ def test_under_resolved_grid_aliases_like_per_node_sum():
 
 
 def test_non_finite_phi_is_named():
-    z = DiskRule(3, 8, 4 * 4 + 8).complex_nodes
+    z = complex_coeffs._disk_plan(3, 8, 4).nodes
     first = z[np.flatnonzero(z.real < 0.0)[0]]
 
     def phi(points):
@@ -253,21 +253,20 @@ def test_reconstruct_stops_each_diagonal_at_its_top():
     assert np.max(np.abs(reconstruct_complex(seq, z) - per_entry_sum(seq, z))) <= 1e-13
 
 def test_each_rule_gets_its_own_plan():
-    # the plan is keyed on the rule's parameters: rules of two radial sizes
-    # each match the per-node sum on their own nodes, and equal rules built
-    # apart share one plan
+    # the plan is keyed on (q, R, M): rules of two radial sizes each match
+    # the per-node sum on their own nodes, and equal keys share one plan
     q, max_degree, angles = 3, 12, 4 * 12 + 8
     phi = disk_from_sequence(random_complex_sequence(q, 8, seed=4))
     for radial in (26, 31):
-        rule = DiskRule(q, radial, angles)
+        rule = disk_rule(q, radial, angles)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureResolutionWarning)
             got = compute_complex_coeffs(phi, q, max_degree, nodes=radial)
         reference = per_bidegree_sum(phi, q, max_degree, rule)
         assert max(abs(got.get(*k) - v.real) for k, v in reference.items()) <= 1e-12
-        plan = complex_coeffs._disk_plan(rule, max_degree)
-        assert complex_coeffs._disk_plan(DiskRule(q, radial, angles), max_degree) is plan
-        assert np.array_equal(plan.nodes, rule.complex_nodes)
+        plan = complex_coeffs._disk_plan(q, radial, max_degree)
+        assert complex_coeffs._disk_plan(q, radial, max_degree) is plan
+        assert np.max(np.abs(plan.nodes - rule[0])) <= 1e-15
 
 
 def test_cold_and_warm_plans_give_identical_coefficients():
@@ -281,7 +280,7 @@ def test_cold_and_warm_plans_give_identical_coefficients():
 
 
 def test_plan_arrays_are_read_only():
-    plan = complex_coeffs._disk_plan(default_rule(3, 10), 10)
+    plan = complex_coeffs._disk_plan(3, 10 + 3 + 12, 10)
     assert len(plan.radial) == 11 and len(plan.keys) == 66
     for array in (plan.nodes, plan.keys, plan.phases, *plan.radial):
         assert not array.flags.writeable

@@ -3,7 +3,19 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from schoenberg import DiskRule, disk_poly_eval, h_norm
+from schoenberg import disk_poly_eval, gauss_jacobi, h_norm
+
+
+def disk_rule(q, radial, angular):
+    """Nodes and weights of the R x A product rule of the disk measure at q.
+
+    Gauss-Jacobi (q - 2, 0) radii in s = r^2, crossed with A uniform angles
+    (exact for trigonometric polynomials of degree below A); the weights
+    sum to 1.
+    """
+    t, mass = gauss_jacobi(radial, q - 2, 0)
+    z = np.sqrt(0.5 * (1.0 + t))[:, None] * np.exp(2j * np.pi * np.arange(angular) / angular)
+    return z.ravel(), np.repeat(mass / angular, angular)
 
 
 def random_disk_points(rng, size):
@@ -107,8 +119,7 @@ def test_h_norm_values_and_symmetry():
 
 def test_orthogonality_against_h():
     for q in (2, 3, 4):
-        rule = DiskRule(q, 30, 40)
-        z, w = rule.complex_nodes, rule.weights
+        z, w = disk_rule(q, 30, 40)
         table = {
             (m, n): disk_poly_eval(m, n, q - 2, z)
             for m in range(5)
@@ -122,8 +133,8 @@ def test_orthogonality_against_h():
 
 
 def test_first_moment_vanishes():
-    rule = DiskRule(2, 20, 24)
-    value = np.sum(rule.weights * disk_poly_eval(1, 0, 0, rule.complex_nodes))
+    z, w = disk_rule(2, 20, 24)
+    value = np.sum(w * disk_poly_eval(1, 0, 0, z))
     assert abs(value) <= 1e-14
 
 
@@ -136,6 +147,17 @@ def test_domain_rejection():
         for m, n in ((bad, 1), (1, bad)):
             with pytest.raises(ValueError, match="must be an integer"):
                 disk_poly_eval(m, n, 1, 0.5 + 0.1j)
+    for bad, match in (
+        (float("nan"), "finite"),
+        (float("inf"), "finite"),
+        (-0.5, "nonnegative"),
+        (True, "real number"),
+        ("1", "real number"),
+        (1j, "real number"),
+    ):
+        with pytest.raises(ValueError, match=f"^alpha must be .*{match}.*alpha="):
+            disk_poly_eval(1, 1, bad, 0.5)
+    assert disk_poly_eval(1, 1, np.float64(1.5), 0.5) == disk_poly_eval(1, 1, 1.5, 0.5)
     # boundary roundoff is clamped
     assert disk_poly_eval(2, 1, 1, 1.0 + 5e-13 + 0.0j) == pytest.approx(1.0)
 

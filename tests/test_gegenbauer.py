@@ -10,7 +10,7 @@ from schoenberg.gegenbauer import (
     BLOCK_ROWS,
     _as_unit_interval,
     _jacobi_blocks,
-    _jacobi_table,
+    _jacobi_rows,
     normalized_gegenbauer_table,
 )
 
@@ -60,10 +60,17 @@ def _normalized_recurrence(n: int, order: float, u):
     return c_cur
 
 
+def jacobi_table(k_max, a, b, x):
+    """Rows 0..k_max of the runner of (a, b): the one-block case at a = b, else one b."""
+    if a == b:
+        return next(_jacobi_blocks(k_max, a, x, k_max + 1))[1]
+    return np.concatenate([rows for _, rows in _jacobi_rows(a, [b], [k_max], x)])
+
+
 def test_degree_zero_is_one():
     x = np.linspace(-1.0, 1.0, 9)
     for a, b in ((-0.5, -0.5), (0.5, 0.5), (1.0, 2.0), (0.0, 7.0)):
-        assert np.array_equal(_jacobi_table(0, a, b, x)[0], np.ones_like(x))
+        assert np.array_equal(jacobi_table(0, a, b, x)[0], np.ones_like(x))
 
 
 def test_degree_one_is_linear():
@@ -71,18 +78,29 @@ def test_degree_one_is_linear():
     x = np.linspace(-1.0, 1.0, 9)
     for a, b in ((-0.5, -0.5), (2.0, 2.0), (1.0, 2.0), (0.0, 7.0)):
         expected = ((a + b + 2.0) * x + a - b) / (2.0 * a + 2.0)
-        assert np.allclose(_jacobi_table(1, a, b, x)[1], expected, atol=1e-15)
+        assert np.allclose(jacobi_table(1, a, b, x)[1], expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("a, b", [(-0.5, -0.5), (0.5, 0.5), (0.0, 24.0), (3.0, 1.0)])
 def test_blocks_are_the_table_rows_bit_for_bit(a, b):
-    # the table is the one-block case; a block's first rows read the last
-    # two of the block before, which its buffer has not yet overwritten
+    # at a = b the table is the one-block case, and a block's first rows
+    # read the last two of the block before, which its buffer has not yet
+    # overwritten; at a != b a b run among others, with other tops, gives
+    # the rows it gives alone (the disk plan runs every |l| at once,
+    # disk_poly_eval one)
     x = np.linspace(-1.0, 1.0, 33)
     for k_max in (0, 1, 2, 63, 64, 65, 66, 130):
-        table = _jacobi_table(k_max, a, b, x)
+        table = jacobi_table(k_max, a, b, x)
+        if a != b:
+            others = [b + 5.0, b, b + 0.5, 2.0 * b + 1.0]
+            tops = [k_max + 7, k_max, k_max // 2, 0]
+            for k, rows in _jacobi_rows(a, others, tops, x):
+                assert len(rows) == sum(top >= k for top in tops)
+                if k <= k_max:
+                    assert np.array_equal(rows[1], table[k]), (k_max, k)
+            continue
         starts = []
-        for start, block in _jacobi_blocks(k_max, a, b, x):
+        for start, block in _jacobi_blocks(k_max, a, x):
             starts.append(start)
             assert np.array_equal(block, table[start : start + len(block)]), (k_max, start)
         assert starts == list(range(0, k_max + 1, BLOCK_ROWS))
@@ -153,7 +171,7 @@ def test_three_term_recurrence_residual(n, order, u):
     # the table at a = order - 1/2 is the Gegenbauer polynomial of that order
     # over its value at 1, whose recurrence is
     # (n + 2 order - 1) c_n = 2 u (n + order - 1) c_{n-1} - (n - 1) c_{n-2}
-    c0, c1, c2 = _jacobi_table(n, order - 0.5, order - 0.5, u)[-3:]
+    c0, c1, c2 = jacobi_table(n, order - 0.5, order - 0.5, np.atleast_1d(u))[-3:]
     lead = 2.0 * u * (n + order - 1.0) * c1
     residual = (n + 2.0 * order - 1.0) * c2 - lead + (n - 1.0) * c0
     scale = max(abs((n + 2.0 * order - 1.0) * c2), abs(lead), 1.0)
@@ -185,6 +203,8 @@ def test_domain_errors():
         normalized_gegenbauer_table(2, 2, 1.1)
     with pytest.raises(ValueError, match="d must be >= 1"):
         normalized_gegenbauer_table(2, 0, 0.5)
+    with pytest.raises(ValueError, match="^n_max must be nonnegative, got -1"):
+        normalized_gegenbauer_table(-1, 2, 0.5)  # once a bare IndexError
 
 
 def test_nan_argument_is_rejected():
@@ -229,13 +249,13 @@ def normalized_jacobi_exact(k, a, b, x):
     [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (0.0, 5.0), (3.0, 32.0), (98.0, 2.0)],
 )
 def test_jacobi_table_matches_exact_hypergeometric_sum(a, b):
-    # dyadic x are exact doubles; with a != b (the disk radial factors,
-    # b = |l|) rows are weighted by r^|l| = s^(b/2), s = (1 + x) / 2, as the
-    # disk polynomial weights them, since unweighted they grow like C(k+b, k)
-    # toward x = -1
+    # dyadic x are exact doubles; a = b reads the sphere runner and a != b
+    # the disk runner, whose rows (the disk radial factors, b = |l|) are
+    # weighted by r^|l| = s^(b/2), s = (1 + x) / 2, as the disk polynomial
+    # weights them, since unweighted they grow like C(k+b, k) toward x = -1
     xs = [Fraction(j, 32) - 1 for j in range(65)]
     x = np.array([float(v) for v in xs])
-    table = _jacobi_table(16, a, b, x)
+    table = jacobi_table(16, a, b, x)
     weight = (0.5 * (1.0 + x)) ** (0.5 * b) if a != b else np.ones_like(x)
     for k in range(17):
         exact = [normalized_jacobi_exact(k, a, b, v) for v in xs]
@@ -246,13 +266,14 @@ def test_jacobi_table_matches_exact_hypergeometric_sum(a, b):
 @pytest.mark.parametrize("q", [2, 3, 5, 20, 100])
 def test_disk_radial_rows_match_exact_sum_on_every_diagonal(q):
     # the rim x = 1 is where rounded recurrence coefficients drift most: at
-    # (a, b) = (0, 24) they reach about 7 with opposite signs
+    # (a, b) = (0, 24) they reach about 7 with opposite signs. Every
+    # diagonal |l| <= 32 runs in one pass, as in the disk plan, the one with
+    # |l| = q - 2 (a = b) included
     xs = [Fraction(j, 16) - 1 for j in range(33)]
     x = np.array([float(v) for v in xs])
-    for ell in range(33):
-        table = _jacobi_table(16, q - 2, ell, x)
-        weight = (0.5 * (1.0 + x)) ** (0.5 * ell)
-        for k in range(17):
-            exact = [normalized_jacobi_exact(k, q - 2, ell, v) for v in xs]
-            error = np.abs(table[k] - np.array(exact)) * weight
-            assert np.max(error) <= 1e-14, (ell, k, np.max(error))
+    ells = np.arange(33)
+    weight = (0.5 * (1.0 + x)) ** (0.5 * ells[:, None])
+    for k, rows in _jacobi_rows(q - 2, ells, np.full(33, 16), x):
+        exact = [[normalized_jacobi_exact(k, q - 2, ell, v) for v in xs] for ell in ells]
+        error = np.abs(rows - np.array(exact)) * weight
+        assert np.max(error) <= 1e-14, (k, np.argmax(np.max(error, axis=1)), np.max(error))

@@ -7,7 +7,6 @@ import pytest
 import schoenberg
 from schoenberg import (
     ComplexSchoenbergSequence,
-    DiskRule,
     RealSchoenbergSequence,
     QuadratureResolutionWarning,
     check_progressions,
@@ -18,11 +17,15 @@ from schoenberg import (
     disk_constant,
     disk_from_sequence,
     gauss_jacobi,
+    poisson_circle_coeffs,
     poisson_isotropic,
     support_pattern,
+    transfer_class,
     walk_down,
 )
-from schoenberg import quadrature
+from schoenberg import complex_coeffs, quadrature
+from schoenberg.gegenbauer import normalized_gegenbauer_table
+from test_disk_polys import disk_rule
 
 
 def beta_moment(k, alpha, beta):
@@ -82,9 +85,10 @@ def test_interval_rule_odd_dimension_stays_in_theta():
 
 def test_disk_rule_has_unit_mass():
     for q in range(2, 7):
-        rule = DiskRule(q, 24, 32)
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
-        assert np.all(np.abs(rule.complex_nodes) <= 1.0)
+        z, w = disk_rule(q, 24, 32)
+        assert w.sum() == pytest.approx(1.0, abs=1e-13)
+        assert np.all(np.abs(z) <= 1.0)
+        assert np.all(np.abs(complex_coeffs._disk_plan(q, 24, 6).nodes) <= 1.0)
 
 
 def test_rule_validation():
@@ -92,11 +96,8 @@ def test_rule_validation():
         gauss_jacobi(4, -1.0, 0.0)
     with pytest.raises(ValueError, match="dimension d must be >= 1"):
         compute_real_coeffs(constant_isotropic(), 0, 8)
-    with pytest.raises(ValueError):
-        DiskRule(1, 8, 8)
-    for radial, angular in ((0, 8), (8, 0)):
-        with pytest.raises(ValueError, match="need at least one node"):
-            DiskRule(3, radial, angular)
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        compute_complex_coeffs(disk_constant(), 1, 4)
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.bool_(True), 0, -3])
@@ -117,11 +118,10 @@ def test_nodes_must_be_a_positive_integer(call, value):
 
 
 def test_complex_nodes_only_for_disk_rules():
-    # the sphere rule is a bare (nodes, weights) pair; only the disk rule
-    # lays its nodes out in the plane
+    # the sphere rule is a bare (nodes, weights) pair; only the disk plan
+    # lays its nodes out in the plane, R radii by A = 4M + 8 angles
     assert len(sphere_rule(2, 8)) == 2
-    rule = DiskRule(3, 8, 8)
-    assert rule.complex_nodes.shape == rule.weights.shape == (64,)
+    assert complex_coeffs._disk_plan(3, 8, 0).nodes.shape == (64,)
 
 
 def polar_nodes(radii, angular_nodes):
@@ -133,35 +133,37 @@ def polar_nodes(radii, angular_nodes):
 
 
 def test_disk_rule_layout_is_radius_major():
-    # pinned bit for bit: the A angles at each Gauss-Jacobi radius in turn,
-    # each node carrying its circle's mass over A
-    for q, radial, angular in ((2, 3, 6), (3, 8, 12), (100, 118, 32)):
-        rule = DiskRule(q, radial, angular)
+    # pinned bit for bit: the A = 4M + 8 angles at each Gauss-Jacobi radius
+    # in turn, each node carrying its circle's mass over A, which is the
+    # plan's radial row (|l|, k) = (0, 0), as p_0 = r^0 = h(0, 0, q) = 1
+    for q, radial, max_degree in ((2, 3, 0), (3, 8, 1), (100, 118, 6)):
+        plan = complex_coeffs._disk_plan(q, radial, max_degree)
+        angular = 4 * max_degree + 8
         t, mass = gauss_jacobi(radial, q - 2, 0)
         radii = np.sqrt(0.5 * (1.0 + t))
-        assert np.array_equal(rule.complex_nodes, polar_nodes(radii, angular))
-        assert np.array_equal(rule.weights, np.repeat(mass / angular, angular))
+        assert np.array_equal(plan.nodes, polar_nodes(radii, angular))
+        assert np.array_equal(plan.radial[0][0], mass / angular)
 
 
 def test_disk_rule_is_its_parameters():
-    rule = DiskRule(np.int64(3), np.int32(8), 12)
-    assert rule == DiskRule(3, 8, 12) and hash(rule) == hash(DiskRule(3, 8, 12))
-    assert all(type(v) is int for v in (rule.q, rule.radial_nodes, rule.angular_nodes))
-    assert rule != DiskRule(4, 8, 12)
-    with pytest.raises(AttributeError):
-        rule.q = 4
+    # the disk rule is (q, R, A = 4M + 8), so the plan is keyed on (q, R, M):
+    # numpy integers share the plan of equal ints, and another q gets its own
+    plans = complex_coeffs._disk_plan
+    plans.cache_clear()
+    compute_complex_coeffs(disk_constant(), np.int64(3), np.int32(4), nodes=np.int64(9))
+    compute_complex_coeffs(disk_constant(), 3, 4, nodes=9)
+    assert (plans.cache_info().hits, plans.cache_info().currsize) == (1, 1)
+    compute_complex_coeffs(disk_constant(), 4, 4, nodes=9)
+    assert plans.cache_info().currsize == 2
 
 
 def test_sphere_parameters_must_be_integers():
     # each of these once built a rule or returned numbers for a sphere that
     # does not exist, or failed naming the wrong argument
     for call, name in (
-        (lambda: DiskRule(3.5, 8, 8), "q"),
-        (lambda: DiskRule(True, 8, 8), "q"),
-        (lambda: DiskRule(3, 8.0, 8), "radial_nodes"),
-        (lambda: DiskRule(3, 8, 8.5), "angular_nodes"),
-        (lambda: DiskRule(3, 8, True), "angular_nodes"),
         (lambda: compute_complex_coeffs(disk_constant(), 3.5, 4), "q"),
+        (lambda: compute_complex_coeffs(disk_constant(), True, 4), "q"),
+        (lambda: compute_complex_coeffs(disk_constant(), np.bool_(True), 4), "q"),
         (lambda: compute_real_coeffs(constant_isotropic(), 2.5, 6), "d"),
         (lambda: compute_real_coeffs(constant_isotropic(), True, 6), "d"),
         (lambda: compute_real_coeffs(constant_isotropic(), np.bool_(True), 6), "d"),
@@ -178,7 +180,12 @@ def test_sphere_parameters_must_be_integers():
     assert compute_real_coeffs(constant_isotropic(), np.int64(2), 4, nodes=np.int64(8)).d == 2
 
 
-@pytest.mark.parametrize("value", [2.5, True])
+def transfer_to(q_prime):
+    seq = ComplexSchoenbergSequence(3, {(0, 0): 0.5, (1, 1): 0.5}, 2)
+    return transfer_class(seq, check_progressions(support_pattern(seq)), q_prime, strict_at_q=True)
+
+
+@pytest.mark.parametrize("value", [2.5, True, math.nan])
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -188,12 +195,20 @@ def test_sphere_parameters_must_be_integers():
         ("n_out", lambda v: walk_down(RealSchoenbergSequence(5, [0.5, 0.5, 0.0]), n_out=v)),
         ("max_modulus", lambda v: check_progressions(
             support_pattern(ComplexSchoenbergSequence(2, {(0, 0): 1.0}, 2)), v)),
+        ("q_prime", transfer_to),
+        ("truncation", lambda v: poisson_circle_coeffs(0.5, v)),
+        ("n_max", lambda v: normalized_gegenbauer_table(v, 2, 0.5)),
+        ("d", lambda v: normalized_gegenbauer_table(2, v, 0.5)),
     ],
-    ids=["real-coeffs", "complex-coeffs", "complex-sequence", "walk-down", "progressions"],
+    ids=[
+        "real-coeffs", "complex-coeffs", "complex-sequence", "walk-down", "progressions",
+        "transfer-class", "poisson-circle", "table-degree", "table-dimension",
+    ],
 )
 def test_degree_arguments_must_be_integers(name, call, value):
     # a fractional degree once sized a rule from it, built a sequence with
-    # it, or failed with a bare TypeError; a boolean passed as 1
+    # it, concluded strictness or returned a table for a sphere that does
+    # not exist, or failed with a bare TypeError; a boolean passed as 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call(value)
     call(np.int64(2))
@@ -387,5 +402,7 @@ def test_every_public_name_resolves():
     # advertise them
     for name in schoenberg.__all__:
         assert getattr(schoenberg, name) is not None, name
-    for gone in ("QuadratureRule", "interval_rule", "disk_quadrature", "disk_rule_sized"):
+    for gone in (
+        "QuadratureRule", "interval_rule", "disk_quadrature", "disk_rule_sized", "DiskRule"
+    ):
         assert gone not in schoenberg.__all__ and not hasattr(schoenberg, gone)

@@ -111,6 +111,8 @@ def test_poisson_circle_closed_form():
     assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-12
     assert expected.coeffs[0] == pytest.approx(1.0 / 3.0)
     assert expected.coeffs[3] == pytest.approx((2.0 / 3.0) * 0.5**3)
+    with pytest.raises(ValueError, match="^truncation must be nonnegative, got -1"):
+        poisson_circle_coeffs(0.5, -1)  # once a bare IndexError
 
 
 def test_reconstruct_trivials():
