@@ -41,9 +41,9 @@ the diagonal l and the radial factor only on (k, |l|):
   for U distinct |z|^2, plus O(P) for P points and the coefficients laid
   out by size and k; the angular factors z^|l| are then applied point by
   point.
-* Both build and read sequences as arrays: the coefficients become a
-  sequence through the array form of its constructor, and reconstruction
-  reads the entries as arrays, as the walks do.
+* Both work on the arrays a sequence keeps its entries in: the
+  coefficients are handed to the constructor as arrays in plan order, and
+  reconstruction reads the sequence's sorted arrays, as the walks do.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ from .quadrature import (
     _warn_if_under_resolved,
     gauss_jacobi,
 )
-from .sequences import ComplexSchoenbergSequence, _diagonal_entries, _Entries
+from .sequences import ComplexSchoenbergSequence, _Entries
 
 __all__ = ["compute_complex_coeffs", "reconstruct_complex"]
 
@@ -175,7 +175,15 @@ def reconstruct_complex(seq: ComplexSchoenbergSequence, z):
     shape = np.shape(z)
     z, radius_sq = _disk_points(np.ravel(z))
     radius_sq, at = np.unique(radius_sq, return_inverse=True)
-    diagonal, k, a = _diagonal_entries(seq)
+    m, n, a = seq.entries.arrays
+    try:
+        m, n = m.astype(np.int64, copy=False), n.astype(np.int64, copy=False)
+    except OverflowError:
+        i = int(np.argmax(np.maximum(m, n) > 2**63 - 1))
+        raise ValueError(
+            f"bi-degree ({m[i]}, {n[i]}) is past int64: the recurrence cannot reach it"
+        ) from None
+    diagonal, k = m - n, np.minimum(m, n)
     sizes, row = np.unique(np.abs(diagonal), return_inverse=True)
     coef = np.zeros((2, len(sizes), k.max(initial=0) + 1))  # diagonal +|l|, then -|l|
     coef[(diagonal < 0).astype(int), row, k] = a

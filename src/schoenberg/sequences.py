@@ -15,13 +15,19 @@ Wire formats:
 
 Floats are written with ``repr`` (shortest round-trip decimal), so dumping
 and re-loading is lossless.
+
+A complex sequence keeps its entries as arrays sorted by diagonal m - n and
+then min(m, n), the order the walks, transforms and progression test read;
+the constructor sorts once, from a mapping or arrays alike.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,20 +64,59 @@ class SequenceValidityError(ValueError):
     """Sequence data contradicts its declared validity flag."""
 
 
-def _mass_flags(values, total) -> bool:
-    return bool(np.all(np.asarray(values) >= -NEG_TOL) and total <= 1.0 + MASS_TOL)
+def _mass_flags(values: np.ndarray) -> bool:
+    return bool(np.all(values >= -NEG_TOL) and values.sum() <= 1.0 + MASS_TOL)
+
+
+def _check_threshold(threshold, nonnegative: bool = False):
+    """A support threshold, never NaN; ``nonnegative`` asks for a finite number
+    >= 0, as the diagnostics of positive definiteness do (below 0, roundoff
+    entries count as support)."""
+    number = isinstance(threshold, numbers.Real) and not math.isnan(threshold)
+    if nonnegative and not (number and 0 <= threshold < math.inf):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
+    if not number:
+        raise ValueError(f"threshold must be a number, not NaN, got {threshold!r}")
+    return threshold
 
 
 class _Entries(NamedTuple):
     """Entries as parallel arrays: bi-degrees ``m``, ``n`` and their values.
 
-    Sequences the package builds from arrays pass this as ``entries``, so the
-    constructor checks them as arrays; a user's dict is first converted.
+    A sequence keeps its entries so, sorted by diagonal l = m - n and then
+    k = min(m, n), zeros dropped; the transforms pass theirs, in any order, to
+    the constructor so. Indices from 2**62 up are Python integers in object
+    arrays, so they and the sum of any two stay exact.
     """
 
     m: np.ndarray
     n: np.ndarray
     values: np.ndarray
+
+
+class _EntryMap(Mapping):
+    """A sequence's sorted ``arrays`` as a read-only {(m, n): value} mapping;
+    the dict it reads, with Python int keys and float values, is built on first use."""
+
+    def __init__(self, arrays: _Entries):
+        self.arrays = arrays
+
+    @functools.cached_property
+    def _dict(self) -> dict:
+        m, n, values = self.arrays
+        return dict(zip(zip(m.tolist(), n.tolist()), values.tolist()))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self.arrays.values)
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
 
 
 def _is_index(x) -> bool:
@@ -83,36 +128,11 @@ def _is_index(x) -> bool:
     return isinstance(x, numbers.Integral)
 
 
-def _index_arrays(keys) -> tuple:
-    """Arrays m and n of a collection of (m, n) integer pairs.
-
-    Indices past the int64 range stay Python integers in object arrays, so
-    they keep their exact values.
-    """
-    try:
-        index = np.fromiter(itertools.chain.from_iterable(keys), int, 2 * len(keys))
-    except OverflowError:
-        index = np.array(list(keys), dtype=object)
-    return tuple(index.reshape(-1, 2).T)
-
-
-def _entry_arrays(entries: dict) -> _Entries:
-    """A {(m, n): value} dict as arrays, refusing keys that are not integer pairs."""
-    keys = []
-    for key in entries:
-        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_index, key))):
-            raise ValueError(f"bi-degree {key!r} is not a pair of integers")
-        keys.append((int(key[0]), int(key[1])))
-    return _Entries(*_index_arrays(keys), np.array([float(v) for v in entries.values()]))
-
-
-def _diagonal_entries(seq: ComplexSchoenbergSequence):
-    """The entries as arrays (l, k, values), sorted by diagonal l = m - n, then k = min(m, n)."""
-    m, n = _index_arrays(seq.entries)
-    values = np.fromiter(seq.entries.values(), float, len(seq.entries))
-    diagonal, k = m - n, np.minimum(m, n)
-    order = np.lexsort((k, diagonal))
-    return diagonal[order], k[order], values[order]
+def _check_pair(key) -> tuple:
+    """An (m, n) key, refused by name unless it is a pair of integers."""
+    if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_index, key))):
+        raise ValueError(f"bi-degree {key!r} is not a pair of integers")
+    return key
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +162,7 @@ class RealSchoenbergSequence:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         if self.valid_mass is None:
-            object.__setattr__(self, "valid_mass", _mass_flags(coeffs, coeffs.sum()))
+            object.__setattr__(self, "valid_mass", _mass_flags(coeffs))
 
     @property
     def truncation(self) -> int:
@@ -201,11 +221,14 @@ class ComplexSchoenbergSequence:
     restricted to ``m + n <= max_degree``. ``q`` fixes the sphere (points in
     C^q) and hence the disk-polynomial parameter ``q - 2``. An index is an
     integer or an integral float, as in the wire format; any other key,
-    booleans included, is refused by name.
+    booleans included, is refused by name, and so is a bi-degree given
+    twice. The sequence keeps its entries as arrays sorted by diagonal and
+    then k (``_Entries``); its ``entries`` attribute is a read-only mapping
+    over them.
     """
 
     q: int
-    entries: dict
+    entries: Mapping
     max_degree: int
     valid_mass: bool | None = None
     tail_bound: float = field(default=0.0, compare=False, repr=False)
@@ -218,46 +241,73 @@ class ComplexSchoenbergSequence:
         object.__setattr__(self, "max_degree", _integer("max_degree", self.max_degree))
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        entries = self.entries
-        m, n, values = entries if isinstance(entries, _Entries) else _entry_arrays(entries)
+        entries = self.entries.arrays if isinstance(self.entries, _EntryMap) else self.entries
+        if not isinstance(entries, _Entries):
+            keys = [_check_pair(key) for key in entries]
+            values = [float(v) for v in entries.values()]
+            entries = _Entries([int(m) for m, _ in keys], [int(n) for _, n in keys], values)
+        m, n, values = entries
+        if not isinstance(m, np.ndarray):
+            try:
+                m, n = np.fromiter(itertools.chain(m, n), np.int64, 2 * len(m)).reshape(2, -1)
+            except OverflowError:
+                m, n = np.array([m, n], dtype=object)
+        if m.dtype != object and (np.maximum(m, n) >= 2**62).any():
+            m, n = m.astype(object), n.astype(object)  # m + n could wrap in int64
+        values = np.asarray(values, dtype=float)
+        diagonal, k = m - n, np.minimum(m, n)
         for bad, what in (
-            ((m < 0) | (n < 0), "has a negative index"),
+            (k < 0, "has a negative index"),
             (m + n > self.max_degree, f"exceeds max_degree {self.max_degree}"),
             (~np.isfinite(values), "is not finite"),
         ):
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ValueError(f"entry ({m[i]}, {n[i]}) {what}")
-        keep = values != 0.0
-        kept = values[keep].tolist()
-        object.__setattr__(
-            self, "entries", dict(zip(zip(m[keep].tolist(), n[keep].tolist()), kept))
-        )
+        # sorted, a pair given twice sits next to itself; zeros are dropped only
+        # after this check, so a repeat is refused whatever its values
+        order = np.lexsort((k, diagonal))
+        diagonal, k = diagonal[order], k[order]
+        twice = (diagonal[1:] == diagonal[:-1]) & (k[1:] == k[:-1])
+        if twice.any():
+            i = order[np.argmax(twice)]
+            raise ValueError(f"duplicate index pair ({m[i]}, {n[i]})")
+        order = order[values[order] != 0.0]
+        arrays = _Entries(m[order], n[order], values[order])
+        for array in arrays:
+            array.flags.writeable = False
+        object.__setattr__(self, "entries", _EntryMap(arrays))
         if self.valid_mass is None:
-            object.__setattr__(self, "valid_mass", _mass_flags(values[keep], sum(kept)))
+            object.__setattr__(self, "valid_mass", _mass_flags(arrays.values))
 
     @property
     def total_mass(self) -> float:
-        return float(sum(self.entries.values()))
+        return float(self.entries.arrays.values.sum())
 
     def get(self, m: int, n: int) -> float:
-        return self.entries.get((m, n), 0.0)
+        return self.entries.get(_check_pair((m, n)), 0.0)
 
     def support(self, threshold: float = 0.0):
         """Index pairs whose coefficient exceeds ``threshold``."""
-        return {key for key, value in self.entries.items() if value > threshold}
+        m, n, values = self.entries.arrays
+        above = values > _check_threshold(threshold)
+        return set(zip(m[above].tolist(), n[above].tolist()))
 
     def diagonals(self, threshold: float = 0.0):
         """Values of m - n present in the support."""
-        return {m - n for (m, n) in self.support(threshold)}
+        m, n, values = self.entries.arrays
+        above = values > _check_threshold(threshold)
+        return set((m[above] - n[above]).tolist())
 
     def to_dict(self) -> dict:
-        items = sorted(self.entries.items())
+        m, n, values = self.entries.arrays
+        order = np.lexsort((n, m))
+        rows = zip(m[order].tolist(), n[order].tolist(), values[order].tolist())
         return {
             "space": "complex",
             "q": int(self.q),
             "max_degree": int(self.max_degree),
-            "entries": [[int(m), int(n), float(v)] for (m, n), v in items],
+            "entries": [list(row) for row in rows],
             "valid_mass": bool(self.valid_mass),
         }
 
@@ -281,7 +331,7 @@ class ComplexSchoenbergSequence:
             raise SequenceFormatError("q", "q must be >= 2")
         max_degree = _expect(data, "max_degree", int)
         raw = _expect(data, "entries", list)
-        entries = {}
+        m, n, values = [], [], []
         for i, triple in enumerate(raw):
             if (
                 not isinstance(triple, (list, tuple))
@@ -293,18 +343,17 @@ class ComplexSchoenbergSequence:
                 raise SequenceFormatError(
                     "entries", f"item {i} is not an [m, n, value] triple"
                 )
-            m, n, value = triple
-            if int(m) != m or int(n) != n:
+            row_m, row_n, value = triple
+            if int(row_m) != row_m or int(row_n) != row_n:
                 raise SequenceFormatError("entries", f"item {i} has non-integer indices")
             if not math.isfinite(float(value)):
                 raise SequenceFormatError("entries", f"item {i} has a non-finite value")
-            key = (int(m), int(n))
-            if key in entries:
-                raise SequenceFormatError("entries", f"duplicate index pair {key}")
-            entries[key] = float(value)
+            m.append(int(row_m))
+            n.append(int(row_n))
+            values.append(float(value))
         declared = _expect(data, "valid_mass", bool)
         try:
-            seq = cls(q, entries, max_degree)
+            seq = cls(q, _Entries(m, n, values), max_degree)
         except ValueError as exc:
             raise SequenceFormatError("entries", str(exc)) from exc
         if declared and not seq.valid_mass:

@@ -14,12 +14,10 @@ supplied to it; it never upgrades "consistent" to "strict".
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 from .quadrature import _integer
-from .sequences import ComplexSchoenbergSequence
+from .sequences import ComplexSchoenbergSequence, _check_threshold
 
 __all__ = [
     "SupportPattern",
@@ -138,8 +136,7 @@ def support_pattern(
     must be a finite number >= 0: below 0, roundoff entries count as
     support.
     """
-    if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
+    _check_threshold(threshold, nonnegative=True)
     if not seq.valid_mass:
         raise ValueError("support_pattern requires a mass-valid sequence")
     return SupportPattern(

@@ -25,10 +25,11 @@ positive, which is what makes the support of a nonnegative sequence
 transfer faithfully down the walk: a_{m,n} > 0 exactly when
 a'_{m+j,n+j} > 0 for some j >= 0.
 
-Both walks read the entries as arrays, with diagonal l = m - n and
-k = min(m, n). The forward walk is one array expression over the entries
-and the empty cells just below them, so its work and memory follow the
-number of entries, whatever their degrees. The inverse walk fills each
+Both walks read the sequence's entry arrays, which it keeps sorted by
+diagonal l = m - n and then k = min(m, n), and hand theirs to the
+constructor as arrays. The forward walk is one array expression over the
+entries and the empty cells just below them, so its work and memory follow
+the number of entries, whatever their degrees. The inverse walk fills each
 diagonal from its top k down to 0, on a grid with one row per occupied
 diagonal and one column per k up to the highest top; it takes one
 back-substitution step per k, from the top, for all diagonals at once, so
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sequences import ComplexSchoenbergSequence, _diagonal_entries, _Entries
+from .sequences import ComplexSchoenbergSequence, _Entries
 
 __all__ = ["walk_up_complex", "walk_down_complex"]
 
@@ -65,7 +66,8 @@ def walk_up_complex(seq: ComplexSchoenbergSequence) -> ComplexSchoenbergSequence
     if seq.max_degree < 2:
         raise ValueError("walk_up_complex needs max_degree >= 2")
     out_degree = seq.max_degree - 2
-    diagonal, k, a = _diagonal_entries(seq)
+    m, n, a = seq.entries.arrays
+    diagonal, k = m - n, np.minimum(m, n)
     # output cell (l, k) reads input cells (l, k) and (l, k + 1), so the
     # output cells are the entries' own cells and the empty cells just below
     # them; the entries are sorted, so the cell above an entry is filled
@@ -105,8 +107,9 @@ def walk_down_complex(
     if not tail_tol >= 0.0:
         raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
     q_out = seq.q - 1
-    diagonal, k, a = _diagonal_entries(seq)
-    worst = np.abs(a[np.abs(diagonal) + 2 * k >= seq.max_degree - 1]).max(initial=0.0)
+    m, n, a = seq.entries.arrays
+    diagonal, k = m - n, np.minimum(m, n)
+    worst = np.abs(a[m + n >= seq.max_degree - 1]).max(initial=0.0)
     tail = float(worst) if worst > tail_tol else 0.0
     # the output fills each diagonal from its top k down to 0, so it is laid
     # out as a grid, one row per diagonal and one column per k up to the

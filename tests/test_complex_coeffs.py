@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from schoenberg import (
     h_norm,
     random_complex_sequence,
     reconstruct_complex,
+    walk_up_complex,
 )
 from schoenberg import complex_coeffs
 from test_disk_polys import disk_rule
@@ -251,6 +253,23 @@ def test_reconstruct_stops_each_diagonal_at_its_top():
     seq = ComplexSchoenbergSequence(2, {(520, 520): 0.5, (520, 0): 0.5}, 1040)
     z = np.array([0.0, 0.5, 0.9j, 0.3 - 0.95j])
     assert np.max(np.abs(reconstruct_complex(seq, z) - per_entry_sum(seq, z))) <= 1e-13
+
+
+def test_reconstruct_names_a_bi_degree_past_int64():
+    # the constructor, the wire format and the walks keep such an index
+    # exact, but the recurrence runs over int64 sizes and k
+    for key in ((2**70, 0), (1, 2**63)):
+        seq = ComplexSchoenbergSequence(3, {(0, 0): 0.5, key: 0.5}, 2**71)
+        with pytest.raises(ValueError, match=re.escape(f"({key[0]}, {key[1]})") + ".*cannot reach"):
+            reconstruct_complex(seq, 0.5)
+    # the forward walk drops the one entry past int64 at this max degree; its
+    # output, held as Python integers, is read as int64
+    seq = ComplexSchoenbergSequence(3, {(0, 0): 0.5, (2, 1): 0.25, (2**70, 0): 0.25}, 2**70 + 1)
+    up = walk_up_complex(seq)
+    assert up.entries.arrays.m.dtype == object and max(map(max, up.entries)) == 2
+    z = np.array([0.0, 0.5, 0.9j])
+    assert np.max(np.abs(reconstruct_complex(up, z) - per_entry_sum(up, z))) <= 1e-13
+
 
 def test_each_rule_gets_its_own_plan():
     # the plan is keyed on (q, R, M): rules of two radial sizes each match

@@ -1,5 +1,6 @@
 import json
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from schoenberg import (
     SequenceFormatError,
     SequenceValidityError,
     loads_sequence,
+    support_pattern,
+    walk_up_complex,
 )
+from schoenberg.sequences import _Entries
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -72,6 +76,90 @@ def test_complex_keys_must_be_integer_pairs():
     assert seq.entries == {(1, 0): 0.5}
 
 
+def test_complex_index_sums_never_wrap():
+    # 2**62 + 2**62 wraps to -2**63 in int64
+    with pytest.raises(ValueError, match="exceeds max_degree 3"):
+        ComplexSchoenbergSequence(2, {(2**62, 2**62): 0.5}, 3)
+    seq = ComplexSchoenbergSequence(3, {(2**62, 2**62): 0.5, (0, 0): 0.5}, 2**63 + 2)
+    assert loads_sequence(seq.dumps()).entries == {(2**62, 2**62): 0.5, (0, 0): 0.5}
+    top = 2**62 - 1
+    assert set(walk_up_complex(seq).entries) == {(0, 0), (top, top), (top + 1, top + 1)}
+
+
+def test_complex_entries_are_read_only():
+    seq = ComplexSchoenbergSequence(3, {(1, 0): 0.5, (0, 1): 0.5}, 2)
+    with pytest.raises(TypeError):
+        seq.entries[(2, 0)] = 9.0
+    with pytest.raises(TypeError):
+        seq.entries[(1, 0)] = float("nan")
+    with pytest.raises(TypeError):
+        del seq.entries[(1, 0)]
+    for array in seq.entries.arrays:
+        with pytest.raises(ValueError):
+            array[0] = 9
+    assert seq.entries == {(0, 1): 0.5, (1, 0): 0.5} and seq.total_mass == 1.0
+    assert seq.valid_mass and seq.get(2, 0) == 0.0
+    # the mapping reads like the dict it replaces
+    assert len(seq.entries) == 2 and (1, 0) in seq.entries and (2, 0) not in seq.entries
+    assert dict(seq.entries.items()) == {(1, 0): 0.5, (0, 1): 0.5}
+    assert seq.entries.get((2, 0)) is None and seq.entries[(0, 1)] == 0.5
+    assert all(type(i) is int for key in seq.entries for i in key)
+    assert all(type(v) is float for v in seq.entries.values())
+    # another sequence's entries build an equal sequence
+    assert ComplexSchoenbergSequence(3, seq.entries, 4).entries == seq.entries
+
+
+class PairList(Mapping):
+    """A mapping over a list of (key, value) pairs, which may repeat a key."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return next(v for k, v in self.pairs if k == key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+def test_complex_duplicate_bi_degrees_are_refused():
+    both = ((1, 0), (1.0, 0.0))
+    with pytest.raises(ValueError, match=re.escape("duplicate index pair (1, 0)")):
+        ComplexSchoenbergSequence(3, PairList(list(zip(both, (0.5, 0.25)))), 2)
+    # arrays carry the same pair twice, even where one of the values is 0
+    for values in ([0.5, 0.25, 0.25], [0.5, 0.0, 0.5]):
+        arrays = _Entries(np.array([0, 2, 2]), np.array([0, 1, 1]), np.array(values))
+        with pytest.raises(ValueError, match=re.escape("duplicate index pair (2, 1)")):
+            ComplexSchoenbergSequence(3, arrays, 3)
+    huge = np.array([2**70, 0, 2**70], dtype=object)
+    arrays = _Entries(huge, np.array([0, 0, 0], dtype=object), np.array([0.5, 0.25, 0.25]))
+    with pytest.raises(ValueError, match=re.escape(f"duplicate index pair ({2**70}, 0)")):
+        ComplexSchoenbergSequence(3, arrays, 2**70)
+
+
+def test_complex_get_refuses_what_the_constructor_refuses():
+    seq = ComplexSchoenbergSequence(3, {(1, 0): 0.5, (0, 0): 0.5}, 2)
+    for bad in ((True, 0), (0, np.True_), (1.5, 0), ("1", 0)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            seq.get(*bad)
+    assert seq.get(1.0, np.int64(0)) == 0.5 and seq.get(0, 1) == 0.0
+
+
+def test_complex_support_threshold_is_checked():
+    seq = ComplexSchoenbergSequence(3, {(1, 0): 0.5, (0, 0): 0.75, (2, 0): -0.25}, 2)
+    for method in (seq.support, seq.diagonals):
+        for bad in (float("nan"), np.nan, None, "0.1"):
+            with pytest.raises(ValueError, match="^threshold must be a number"):
+                method(bad)
+    assert seq.support() == {(1, 0), (0, 0)} and seq.support(0.6) == {(0, 0)}
+    assert seq.diagonals(-np.inf) == {0, 1, 2} and seq.diagonals(np.inf) == set()
+    with pytest.raises(ValueError, match="^threshold must be a finite number >= 0"):
+        support_pattern(ComplexSchoenbergSequence(3, {(0, 0): 1.0}, 2), float("nan"))
+
+
 @seed(202)
 @settings(max_examples=100, deadline=None)
 @given(st.lists(finite_floats, min_size=1, max_size=30), st.integers(1, 9))
@@ -100,6 +188,37 @@ def test_complex_json_roundtrip_lossless(entries, q):
     assert back.q == seq.q and back.max_degree == seq.max_degree
     assert back.entries == seq.entries
     assert back.valid_mass == seq.valid_mass
+
+
+# small indices, and indices at and past the int64 range
+wire_index = st.one_of(st.integers(0, 12), st.integers(2**63 - 2, 2**64 + 2))
+
+
+@seed(202)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(wire_index, wire_index),
+        st.one_of(finite_floats, st.just(0.0)),
+        max_size=10,
+    ),
+    st.integers(2, 8),
+    st.data(),
+)
+def test_complex_wire_form_is_canonical(entries, q, data):
+    max_degree = max((m + n for m, n in entries), default=0) + 2
+    seq = ComplexSchoenbergSequence(q, entries, max_degree)
+    text = seq.dumps()
+    assert loads_sequence(text).dumps() == text
+    # the same entries in any order, as a dict or as arrays, give the same sequence
+    items = data.draw(st.permutations(list(entries.items())))
+    assert ComplexSchoenbergSequence(q, dict(items), max_degree).to_dict() == seq.to_dict()
+    arrays = _Entries(
+        np.array([m for (m, _), _ in items], dtype=object),
+        np.array([n for (_, n), _ in items], dtype=object),
+        np.array([value for _, value in items], dtype=float),
+    )
+    assert ComplexSchoenbergSequence(q, arrays, max_degree).to_dict() == seq.to_dict()
 
 
 @pytest.mark.parametrize(
