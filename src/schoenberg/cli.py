@@ -13,10 +13,14 @@ Subcommands::
     spd-check    progression diagnostics for strict positive definiteness
     selftest     run the built-in invariant suite
 
+Every command that reads a sequence takes it from ``--in`` and every
+command that writes one takes ``--out`` (stdout when absent or ``-``); both
+options are declared once, on two parent parsers.
+
 Exit codes: 0 success, 1 malformed input JSON (the message names the
-offending field) or a usage error such as an invalid option value, 2
-numerical-validity failure (mass or negativity contradictions, or an
-under-resolved quadrature).
+offending field), an unreadable or unwritable path, or a usage error such as
+an invalid option value, 2 numerical-validity failure (mass or negativity
+contradictions, or an under-resolved quadrature).
 """
 from __future__ import annotations
 
@@ -58,12 +62,6 @@ def _write_json(payload: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _load(path: str):
-    if path is None:
-        raise SequenceFormatError("--in", "an input file is required")
-    return load_sequence(path)
-
-
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -103,7 +101,7 @@ def _cmd_ccoeffs(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    seq = _load(getattr(args, "in"))
+    seq = load_sequence(getattr(args, "in"))
     if isinstance(seq, RealSchoenbergSequence):
         theta = np.linspace(0.0, np.pi, args.grid)
         values = reconstruct(seq, theta)
@@ -129,18 +127,16 @@ def _cmd_reconstruct(args) -> int:
 # command -> (expected input class, transform of (sequence, args))
 _WALKS = {
     "walk-up": (RealSchoenbergSequence, lambda seq, args: walk_up(seq)),
-    "walk-down": (RealSchoenbergSequence, lambda seq, args: walk_down(
-        seq, n_out=args.N_out, tail_tol=args.tail_tol)),
+    "walk-down": (RealSchoenbergSequence, lambda seq, args: walk_down(seq, n_out=args.N_out)),
     "project": (RealSchoenbergSequence, lambda seq, args: cross_project(seq, args.d_prime)),
     "cwalk-up": (ComplexSchoenbergSequence, lambda seq, args: walk_up_complex(seq)),
-    "cwalk-down": (ComplexSchoenbergSequence, lambda seq, args: walk_down_complex(
-        seq, tail_tol=args.tail_tol)),
+    "cwalk-down": (ComplexSchoenbergSequence, lambda seq, args: walk_down_complex(seq)),
 }
 
 
 def _cmd_walk(args) -> int:
     kind, transform = _WALKS[args.command]
-    seq = _load(getattr(args, "in"))
+    seq = load_sequence(getattr(args, "in"))
     if not isinstance(seq, kind):
         space = "real" if kind is RealSchoenbergSequence else "complex"
         raise SequenceFormatError("space", f"{args.command} expects a {space} sequence")
@@ -159,7 +155,7 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_spd_check(args) -> int:
-    seq = _load(getattr(args, "in"))
+    seq = load_sequence(getattr(args, "in"))
     if not isinstance(seq, ComplexSchoenbergSequence):
         raise SequenceFormatError("space", "spd-check expects a complex sequence")
     if not seq.valid_mass:
@@ -221,8 +217,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coefficient sequences of positive definite functions on spheres",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--in", required=True)
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", default=None)
 
-    p = sub.add_parser("coeffs", help="real-sphere coefficients of a built-in family")
+    p = sub.add_parser("coeffs", parents=[writes],
+                       help="real-sphere coefficients of a built-in family")
     p.add_argument("--family", required=True,
                    choices=["constant", "cosine", "poisson", "gegenbauer-mixture"])
     p.add_argument("--d", type=_int_at_least(1), required=True)
@@ -230,10 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes", type=_int_at_least(1), default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_coeffs)
 
-    p = sub.add_parser("ccoeffs", help="disk coefficients of a built-in family")
+    p = sub.add_parser("ccoeffs", parents=[writes], help="disk coefficients of a built-in family")
     p.add_argument("--family", required=True,
                    choices=["constant", "disk-monomial", "disk-mixture"])
     p.add_argument("--q", type=_int_at_least(2), required=True)
@@ -242,50 +242,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(0), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes", type=_int_at_least(1), default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ccoeffs)
 
-    p = sub.add_parser("reconstruct", help="evaluate a sequence's expansion on a grid")
-    p.add_argument("--in", required=True)
+    p = sub.add_parser("reconstruct", parents=[reads, writes],
+                       help="evaluate a sequence's expansion on a grid")
     p.add_argument("--grid", type=_int_at_least(1), default=181)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("walk-up", help="real sequence d -> d + 2")
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("walk-up", parents=[reads, writes], help="real sequence d -> d + 2")
     p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("walk-down", help="real sequence d + 2 -> d")
-    p.add_argument("--in", required=True)
+    p = sub.add_parser("walk-down", parents=[reads, writes], help="real sequence d + 2 -> d")
     p.add_argument("--N-out", dest="N_out", type=_int_at_least(0), default=None)
-    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-12)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("project", help="real sequence d -> d' for any d' < d")
-    p.add_argument("--in", required=True)
+    p = sub.add_parser("project", parents=[reads, writes],
+                       help="real sequence d -> d' for any d' < d")
     p.add_argument("--d-prime", dest="d_prime", type=_int_at_least(1), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("cwalk-up", help="complex sequence q -> q + 1")
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("cwalk-up", parents=[reads, writes], help="complex sequence q -> q + 1")
     p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("cwalk-down", help="complex sequence q + 1 -> q")
-    p.add_argument("--in", required=True)
-    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-12)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("cwalk-down", parents=[reads, writes], help="complex sequence q + 1 -> q")
     p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("spd-check", help="strict positive definiteness diagnostics")
-    p.add_argument("--in", required=True)
+    p = sub.add_parser("spd-check", parents=[reads, writes],
+                       help="strict positive definiteness diagnostics")
     p.add_argument("--K", type=_int_at_least(1), default=None)
     p.add_argument("--threshold", type=float, default=1e-12)
     p.add_argument("--q-prime", dest="q_prime", type=_int_at_least(2), default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spd_check)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
@@ -299,16 +285,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SequenceFormatError as exc:
-        _note(f"error: {exc}")
-        return EXIT_FORMAT
-    except FileNotFoundError as exc:
-        _note(f"error: {exc}")
-        return EXIT_FORMAT
     except SequenceValidityError as exc:
         _note(f"error: {exc}")
         return EXIT_VALIDITY
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # SequenceFormatError is a ValueError
         _note(f"error: {exc}")
         return EXIT_FORMAT
 

@@ -1,10 +1,11 @@
 """Coefficient sequence containers and their JSON wire formats.
 
-A sequence flagged ``valid_mass`` is one whose entries pass the probability
-mass checks (no entry below -1e-12, total at most 1 + 1e-10). Dimension
-walks can legitimately produce sequences that fail these checks, because
-the positive definiteness classes shrink as the dimension grows; such
-sequences carry ``valid_mass=False`` and stay fully usable as data.
+A sequence's ``valid_mass`` flag is computed from its entries, never passed
+in: it says whether they pass the probability mass checks (no entry below
+-1e-12, total at most 1 + 1e-10). Dimension walks can legitimately produce
+sequences that fail these checks, because the positive definiteness classes
+shrink as the dimension grows; such sequences carry ``valid_mass=False`` and
+stay fully usable as data. A file's declared flag is held to the computed one.
 
 Wire formats:
 
@@ -38,6 +39,7 @@ from .quadrature import _integer
 __all__ = [
     "MASS_TOL",
     "NEG_TOL",
+    "TAIL_TOL",
     "ComplexSchoenbergSequence",
     "RealSchoenbergSequence",
     "SequenceFormatError",
@@ -50,6 +52,8 @@ __all__ = [
 NEG_TOL = 1e-12
 #: tolerance on the total mass bound
 MASS_TOL = 1e-10
+#: floor below which an inverse walk's boundary entries count as decayed
+TAIL_TOL = 1e-12
 
 
 class SequenceFormatError(ValueError):
@@ -66,6 +70,13 @@ class SequenceValidityError(ValueError):
 
 def _mass_flags(values: np.ndarray) -> bool:
     return bool(np.all(values >= -NEG_TOL) and values.sum() <= 1.0 + MASS_TOL)
+
+
+def _tail_bound(boundary: np.ndarray) -> float:
+    """An inverse walk's ``tail_bound``: the largest magnitude among its input's
+    boundary entries, or 0 if none exceeds ``TAIL_TOL``."""
+    worst = float(np.abs(boundary).max(initial=0.0))
+    return worst if worst > TAIL_TOL else 0.0
 
 
 def _check_threshold(threshold, nonnegative: bool = False):
@@ -140,15 +151,15 @@ class RealSchoenbergSequence:
     """Truncated coefficient sequence of an expansion on the real sphere S^d.
 
     ``coeffs[n]`` multiplies the degree-n normalized basis polynomial for
-    dimension ``d``; ``tail_bound`` is a diagnostic attached by the inverse
-    dimension walk when the input looked truncated mid-decay (it is not
-    serialized).
+    dimension ``d``; ``valid_mass`` is computed from them; ``tail_bound`` is a
+    diagnostic attached by the inverse dimension walk when the input looked
+    truncated mid-decay (it is not serialized).
     """
 
     d: int
     coeffs: np.ndarray
-    valid_mass: bool | None = None
-    tail_bound: float = field(default=0.0, compare=False, repr=False)
+    valid_mass: bool = field(init=False)
+    tail_bound: float = field(default=0.0, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "d", _integer("d", self.d))
@@ -161,8 +172,7 @@ class RealSchoenbergSequence:
             raise ValueError("coeffs must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        if self.valid_mass is None:
-            object.__setattr__(self, "valid_mass", _mass_flags(coeffs))
+        object.__setattr__(self, "valid_mass", _mass_flags(coeffs))
 
     @property
     def truncation(self) -> int:
@@ -191,26 +201,20 @@ class RealSchoenbergSequence:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RealSchoenbergSequence":
-        _expect(data, "space", str)
-        if data["space"] != "real":
-            raise SequenceFormatError("space", f"expected 'real', got {data['space']!r}")
+        _expect_space(data, "real")
         d = _expect(data, "d", int)
         if d < 1:
             raise SequenceFormatError("d", "dimension must be >= 1")
-        coeffs = _expect(data, "coeffs", list)
-        values = _finite_floats(coeffs, "coeffs")
+        values = [_finite(v, "coeffs", i) for i, v in enumerate(_expect(data, "coeffs", list))]
+        if not values:
+            raise SequenceFormatError("coeffs", "must not be empty")
         truncation = _expect(data, "truncation", int)
         if truncation != len(values) - 1:
             raise SequenceFormatError(
                 "truncation", f"value {truncation} inconsistent with {len(values)} coeffs"
             )
         declared = _expect(data, "valid_mass", bool)
-        seq = cls(d, np.asarray(values))
-        if declared and not seq.valid_mass:
-            raise SequenceValidityError(
-                "sequence declared valid_mass=true but fails the mass/negativity checks"
-            )
-        return seq
+        return _held_to(declared, cls(d, np.asarray(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,15 +228,15 @@ class ComplexSchoenbergSequence:
     booleans included, is refused by name, and so is a bi-degree given
     twice. The sequence keeps its entries as arrays sorted by diagonal and
     then k (``_Entries``); its ``entries`` attribute is a read-only mapping
-    over them.
+    over them, and ``valid_mass`` is computed from them.
     """
 
     q: int
     entries: Mapping
     max_degree: int
-    valid_mass: bool | None = None
-    tail_bound: float = field(default=0.0, compare=False, repr=False)
-    max_imag: float = field(default=0.0, compare=False, repr=False)
+    valid_mass: bool = field(init=False)
+    tail_bound: float = field(default=0.0, compare=False, repr=False, kw_only=True)
+    max_imag: float = field(default=0.0, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "q", _integer("q", self.q))
@@ -277,8 +281,7 @@ class ComplexSchoenbergSequence:
         for array in arrays:
             array.flags.writeable = False
         object.__setattr__(self, "entries", _EntryMap(arrays))
-        if self.valid_mass is None:
-            object.__setattr__(self, "valid_mass", _mass_flags(arrays.values))
+        object.__setattr__(self, "valid_mass", _mass_flags(arrays.values))
 
     @property
     def total_mass(self) -> float:
@@ -321,46 +324,27 @@ class ComplexSchoenbergSequence:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ComplexSchoenbergSequence":
-        _expect(data, "space", str)
-        if data["space"] != "complex":
-            raise SequenceFormatError(
-                "space", f"expected 'complex', got {data['space']!r}"
-            )
+        _expect_space(data, "complex")
         q = _expect(data, "q", int)
         if q < 2:
             raise SequenceFormatError("q", "q must be >= 2")
         max_degree = _expect(data, "max_degree", int)
-        raw = _expect(data, "entries", list)
         m, n, values = [], [], []
-        for i, triple in enumerate(raw):
-            if (
-                not isinstance(triple, (list, tuple))
-                or len(triple) != 3
-                or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in triple
-                )
-            ):
-                raise SequenceFormatError(
-                    "entries", f"item {i} is not an [m, n, value] triple"
-                )
+        for i, triple in enumerate(_expect(data, "entries", list)):
+            if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
+                raise SequenceFormatError("entries", f"item {i} is not an [m, n, value] triple")
             row_m, row_n, value = triple
-            if int(row_m) != row_m or int(row_n) != row_n:
+            if not (_is_index(row_m) and _is_index(row_n)):
                 raise SequenceFormatError("entries", f"item {i} has non-integer indices")
-            if not math.isfinite(float(value)):
-                raise SequenceFormatError("entries", f"item {i} has a non-finite value")
+            values.append(_finite(value, "entries", i))
             m.append(int(row_m))
             n.append(int(row_n))
-            values.append(float(value))
         declared = _expect(data, "valid_mass", bool)
         try:
             seq = cls(q, _Entries(m, n, values), max_degree)
         except ValueError as exc:
             raise SequenceFormatError("entries", str(exc)) from exc
-        if declared and not seq.valid_mass:
-            raise SequenceValidityError(
-                "sequence declared valid_mass=true but fails the mass/negativity checks"
-            )
-        return seq
+        return _held_to(declared, seq)
 
 
 def _expect(data: dict, key: str, typ):
@@ -378,18 +362,32 @@ def _expect(data: dict, key: str, typ):
     return value
 
 
-def _finite_floats(values, field_name: str):
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SequenceFormatError(field_name, f"item {i} is not a number")
-        v = float(v)
-        if not math.isfinite(v):
-            raise SequenceFormatError(field_name, f"item {i} is not finite")
-        out.append(v)
-    if not out:
-        raise SequenceFormatError(field_name, "must not be empty")
-    return out
+def _expect_space(data: dict, space: str) -> None:
+    if _expect(data, "space", str) != space:
+        raise SequenceFormatError("space", f"expected {space!r}, got {data['space']!r}")
+
+
+def _finite(value, field_name: str, i: int) -> float:
+    """JSON number ``value``, item ``i`` of ``field_name``, as a finite float;
+    a boolean, a non-number or a value past the float range is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SequenceFormatError(field_name, f"item {i} is not a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SequenceFormatError(field_name, f"item {i} is not finite")
+    return value
+
+
+def _held_to(declared: bool, seq):
+    """``seq``, unless the file declared it mass-valid and it is not."""
+    if declared and not seq.valid_mass:
+        raise SequenceValidityError(
+            "sequence declared valid_mass=true but fails the mass/negativity checks"
+        )
+    return seq
 
 
 def loads_sequence(text: str):

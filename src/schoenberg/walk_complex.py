@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sequences import ComplexSchoenbergSequence, _Entries
+from .sequences import ComplexSchoenbergSequence, _Entries, _tail_bound
 
 __all__ = ["walk_up_complex", "walk_down_complex"]
 
@@ -87,30 +87,24 @@ def walk_up_complex(seq: ComplexSchoenbergSequence) -> ComplexSchoenbergSequence
     )
 
 
-def walk_down_complex(
-    seq: ComplexSchoenbergSequence,
-    tail_tol: float = 1e-12,
-) -> ComplexSchoenbergSequence:
+def walk_down_complex(seq: ComplexSchoenbergSequence) -> ComplexSchoenbergSequence:
     """Transport a sequence from sphere parameter q + 1 back to q.
 
     Solves the forward walk's two-band system along each support diagonal,
     from the diagonal's top entry down to its axis, with the entries above
     the top taken as 0; for finitely supported input the walk exactly
-    inverts :func:`walk_up_complex`. Entries above ``tail_tol`` sitting on
-    the truncation boundary (m + n within 2 of max_degree) are reported on
-    the output's ``tail_bound`` diagnostic: they mean a missing continuation
+    inverts :func:`walk_up_complex`. Entries above ``sequences.TAIL_TOL``
+    sitting on the truncation boundary (m + n >= max_degree - 1) are reported
+    on the output's ``tail_bound`` diagnostic: they mean a missing continuation
     if the sequence continues beyond the truncation, and a false alarm if
     its support genuinely ends there; the data cannot distinguish the two.
     """
     if seq.q < 3:
         raise ValueError("walk_down_complex needs input parameter q >= 3")
-    if not tail_tol >= 0.0:
-        raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
     q_out = seq.q - 1
     m, n, a = seq.entries.arrays
     diagonal, k = m - n, np.minimum(m, n)
-    worst = np.abs(a[m + n >= seq.max_degree - 1]).max(initial=0.0)
-    tail = float(worst) if worst > tail_tol else 0.0
+    tail = _tail_bound(a[m + n >= seq.max_degree - 1])
     # the output fills each diagonal from its top k down to 0, so it is laid
     # out as a grid, one row per diagonal and one column per k up to the
     # highest top; a cell above its diagonal's top stays 0, as the entries

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import RULE_CACHE_SIZE, _integer
-from .sequences import RealSchoenbergSequence
+from .sequences import RealSchoenbergSequence, _tail_bound
 
 __all__ = ["walk_up", "walk_down", "cross_project"]
 
@@ -73,21 +73,18 @@ def walk_up(seq: RealSchoenbergSequence) -> RealSchoenbergSequence:
     return RealSchoenbergSequence(seq.d + 2, lead * b[:-2] - drop * b[2:])
 
 
-def walk_down(
-    seq: RealSchoenbergSequence,
-    n_out: int | None = None,
-    tail_tol: float = 1e-12,
-) -> RealSchoenbergSequence:
+def walk_down(seq: RealSchoenbergSequence, n_out: int | None = None) -> RealSchoenbergSequence:
     """Transport a sequence from dimension d + 2 back to dimension d.
 
     Solves the forward walk's two-band system by recursive doubling, with
     every entry above the input truncation taken as 0. For finitely supported
-    input this is the exact inverse of :func:`walk_up`. Trailing entries
-    above ``tail_tol`` are reported on the output's ``tail_bound``
-    diagnostic: if the input was a truncation of an infinite sequence, the
-    solve is missing their continuation. For a sequence whose support
-    genuinely ends at the boundary the result is still exact and the
-    diagnostic is a false alarm; the data cannot distinguish the two cases.
+    input this is the exact inverse of :func:`walk_up`. Boundary entries
+    (degrees >= truncation - 1) above ``sequences.TAIL_TOL`` are reported on
+    the output's ``tail_bound`` diagnostic: if the input was a truncation of
+    an infinite sequence, the solve is missing their continuation. For a
+    sequence whose support genuinely ends at the boundary the result is
+    still exact and the diagnostic is a false alarm; the data cannot
+    distinguish the two cases.
     """
     if seq.d < 3:
         raise ValueError("walk_down needs input dimension >= 3")
@@ -95,17 +92,13 @@ def walk_down(
     n_out = n_in if n_out is None else _integer("n_out", n_out)
     if n_out < 0:
         raise ValueError(f"n_out must be nonnegative, got {n_out}")
-    if not tail_tol >= 0.0:
-        raise ValueError(f"tail_tol must be a nonnegative number, got {tail_tol}")
     lead, drop = _bands(seq.d - 2, n_in + 1)
     g, r = seq.coeffs / lead, drop / lead
     for s in (1 << p for p in range(1, n_in.bit_length())):  # s = 2, 4, 8, ... <= n_in
         g[:-s] += r[:-s] * g[s:]
         r[:-s] *= r[s:]
-    boundary = float(np.max(np.abs(seq.coeffs[-2:])))
-    tail = boundary if boundary > tail_tol else 0.0
     out = np.concatenate([g[: n_out + 1], np.zeros(max(n_out - n_in, 0))])
-    return RealSchoenbergSequence(seq.d - 2, out, tail_bound=tail)
+    return RealSchoenbergSequence(seq.d - 2, out, tail_bound=_tail_bound(seq.coeffs[-2:]))
 
 
 def cross_project(seq: RealSchoenbergSequence, d_prime: int) -> RealSchoenbergSequence:

@@ -361,3 +361,45 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         assert "error:" in err
         assert argv[-2] in err, argv  # the message names the option
         assert not out.exists(), argv
+
+
+def test_directory_paths_exit_1(capsys, tmp_path):
+    # a path that cannot be read or written is an error by name, not a traceback
+    for argv in (
+        ("walk-up", "--in", str(tmp_path)),
+        ("coeffs", "--family", "constant", "--d", "2", "--N", "3", "--out", str(tmp_path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error:") and str(tmp_path) in err, argv
+        assert "Traceback" not in err and out == "", argv
+
+
+# command -> (reads --in, writes --out)
+FILE_OPTIONS = {
+    "coeffs": (False, True),
+    "ccoeffs": (False, True),
+    "reconstruct": (True, True),
+    "walk-up": (True, True),
+    "walk-down": (True, True),
+    "project": (True, True),
+    "cwalk-up": (True, True),
+    "cwalk-down": (True, True),
+    "spd-check": (True, True),
+    "selftest": (False, False),
+}
+
+
+@pytest.mark.parametrize("command", FILE_OPTIONS)
+def test_help_lists_file_options(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    reads, writes = FILE_OPTIONS[command]
+    assert ("--in IN" in out) == reads
+    assert ("--out OUT" in out) == writes
+
+
+def test_file_options_cover_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert "{" + ",".join(FILE_OPTIONS) + "}" in out

@@ -16,7 +16,7 @@ from schoenberg import (
     support_pattern,
     walk_up_complex,
 )
-from schoenberg.sequences import _Entries
+from schoenberg.sequences import _Entries, _mass_flags
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -295,3 +295,65 @@ def test_complex_entries_reject_booleans(entry):
     with pytest.raises(SequenceFormatError, match="item 1") as err:
         loads_sequence(json.dumps(data))
     assert err.value.field == "entries"
+
+
+# an integer past the float range, which Python's json reads exactly
+HUGE = "1" * 400
+
+
+def test_integer_past_float_range_is_not_finite():
+    for field, text in (
+        ("coeffs", '{"space": "real", "d": 2, "truncation": 1, '
+                   f'"coeffs": [0.5, {HUGE}], "valid_mass": false}}'),
+        ("entries", '{"space": "complex", "q": 2, "max_degree": 2, '
+                    f'"entries": [[0, 0, 0.5], [1, 0, {HUGE}]], "valid_mass": false}}'),
+    ):
+        with pytest.raises(SequenceFormatError, match="item 1 is not finite") as err:
+            loads_sequence(text)
+        assert err.value.field == field
+
+
+@pytest.mark.parametrize("index", ["1e400", "Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("entry", ["[{}, 0, 0.25]", "[0, {}, 0.25]"])
+def test_non_finite_indices_are_non_integer(index, entry):
+    # Python's json reads all four, as floats that no integer equals
+    text = (
+        '{"space": "complex", "q": 2, "max_degree": 2, '
+        f'"entries": [[0, 0, 0.5], {entry.format(index)}], "valid_mass": true}}'
+    )
+    with pytest.raises(SequenceFormatError, match="item 1 has non-integer indices") as err:
+        loads_sequence(text)
+    assert err.value.field == "entries"
+
+
+def test_valid_mass_cannot_be_passed():
+    # a flag passed in could contradict the data, and dumps would write what loads refuses
+    for build in (
+        lambda: RealSchoenbergSequence(2, [7.0, -2.0], True),
+        lambda: RealSchoenbergSequence(2, [7.0, -2.0], valid_mass=True),
+        lambda: ComplexSchoenbergSequence(2, {(0, 0): 5.0, (1, 0): -3.0}, 2, True),
+        lambda: ComplexSchoenbergSequence(2, {(0, 0): 5.0, (1, 0): -3.0}, 2, valid_mass=True),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    real = RealSchoenbergSequence(2, [7.0, -2.0])
+    assert not real.valid_mass
+    with pytest.raises(SequenceValidityError):
+        loads_sequence(real.dumps().replace("false", "true"))
+    heavy = ComplexSchoenbergSequence(2, {(0, 0): 5.0, (1, 0): -3.0}, 2)
+    assert not heavy.valid_mass
+    with pytest.raises(ValueError, match="mass-valid"):
+        support_pattern(heavy)
+
+
+@seed(203)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_valid_mass_is_the_mass_check_of_the_data(values):
+    real = RealSchoenbergSequence(3, values)
+    assert real.valid_mass == _mass_flags(np.array(values))
+    entries = {(i, 0): value for i, value in enumerate(values)}
+    cplx = ComplexSchoenbergSequence(3, entries, len(values) + 2)
+    assert cplx.valid_mass == _mass_flags(np.array(values))
+    up = walk_up_complex(cplx)
+    assert up.valid_mass == _mass_flags(up.entries.arrays.values)

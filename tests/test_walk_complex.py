@@ -163,11 +163,13 @@ def test_walk_down_reports_unresolved_tail():
     assert clean.tail_bound == 0.0
 
 
-def test_walk_down_rejects_bad_tail_tol():
-    seq = ComplexSchoenbergSequence(4, {(3, 3): 0.5, (0, 0): 0.5}, 6)
-    for tail_tol in (float("nan"), -1e-3):
-        with pytest.raises(ValueError, match="tail_tol"):
-            walk_down_complex(seq, tail_tol=tail_tol)
+def test_walk_down_tail_floor_is_tail_tol():
+    # the boundary is m + n >= max_degree - 1; an entry there at the fixed
+    # floor, sequences.TAIL_TOL = 1e-12, counts as decayed
+    for boundary, reported in ((1e-12, 0.0), (2e-12, 2e-12)):
+        for key in ((3, 3), (4, 1)):
+            seq = ComplexSchoenbergSequence(4, {(0, 0): 0.5, key: -boundary}, 6)
+            assert walk_down_complex(seq).tail_bound == reported
 
 
 def test_walk_down_matches_inverse_series():
@@ -215,7 +217,7 @@ def _oracle_walk_up(seq):
     return ComplexSchoenbergSequence(q + 1, out, out_degree)
 
 
-def _oracle_walk_down(seq, tail_tol=1e-12):
+def _oracle_walk_down(seq):
     """The per-entry dict walk q + 1 -> q, kept as the reference."""
     q_out = seq.q - 1
     tops = {}
@@ -232,7 +234,7 @@ def _oracle_walk_down(seq, tail_tol=1e-12):
             out[(m, n)] = upper
     boundary = [abs(a) for (m, n), a in seq.entries.items() if m + n >= seq.max_degree - 1]
     worst = max(boundary, default=0.0)
-    tail = worst if worst > tail_tol else 0.0
+    tail = worst if worst > 1e-12 else 0.0
     return ComplexSchoenbergSequence(q_out, out, seq.max_degree, tail_bound=tail)
 
 
@@ -261,7 +263,6 @@ def test_array_walks_are_bit_identical_to_the_dict_walks():
         for top in (0, 1, 2, 3, 32, 80):
             for seq in _oracle_inputs(q, top):
                 assert _same(walk_down_complex(seq), _oracle_walk_down(seq))
-                assert _same(walk_down_complex(seq, tail_tol=0.0), _oracle_walk_down(seq, 0.0))
                 if top < 2:
                     with pytest.raises(ValueError, match="max_degree >= 2"):
                         walk_up_complex(seq)

@@ -180,18 +180,19 @@ def test_walk_down_reports_unresolved_tail():
     assert clean.tail_bound == 0.0
 
 
+def test_walk_down_tail_floor_is_tail_tol():
+    # the boundary is degrees >= truncation - 1; an entry there at the fixed
+    # floor, sequences.TAIL_TOL = 1e-12, counts as decayed
+    for boundary, reported in ((1e-12, 0.0), (2e-12, 2e-12)):
+        for coeffs in ([0.5, 0.5, 0.0, -boundary], [0.5, 0.5, -boundary, 0.0]):
+            assert walk_down(RealSchoenbergSequence(5, coeffs)).tail_bound == reported
+
+
 def test_walk_down_rejects_negative_n_out():
     seq = random_real_sequence(4, 8, seed=1)
     for n_out in (-1, -2):
         with pytest.raises(ValueError, match="n_out"):
             walk_down(seq, n_out=n_out)
-
-
-def test_walk_down_rejects_bad_tail_tol():
-    seq = random_real_sequence(4, 8, seed=1)
-    for tail_tol in (float("nan"), -1e-3):
-        with pytest.raises(ValueError, match="tail_tol"):
-            walk_down(seq, tail_tol=tail_tol)
 
 
 def series_walk_down(b, d_out):
