@@ -18,14 +18,16 @@ command that writes one takes ``--out`` (stdout when absent or ``-``); both
 options are declared once, on two parent parsers.
 
 Exit codes: 0 success, 1 malformed input JSON (the message names the
-offending field), an unreadable or unwritable path, or a usage error such as
-an invalid option value, 2 numerical-validity failure (mass or negativity
-contradictions, or an under-resolved quadrature).
+offending field), an unreadable or unwritable path (an ``--out`` that is a
+directory or lies in a missing one is refused before the command runs), or
+a usage error such as an invalid option value, 2 numerical-validity failure
+(mass or negativity contradictions, or an under-resolved quadrature).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -42,7 +44,13 @@ from .sequences import (
     SequenceValidityError,
     load_sequence,
 )
-from .spd import check_progressions, report_with_notes, support_pattern, transfer_class
+from .spd import (
+    DEFAULT_THRESHOLD,
+    check_progressions,
+    report_with_notes,
+    support_pattern,
+    transfer_class,
+)
 from .walk_complex import walk_down_complex, walk_up_complex
 from .walk_real import cross_project, walk_down, walk_up
 
@@ -60,6 +68,16 @@ def _write_json(payload: dict, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse an ``--out`` naming a directory or inside a missing one, before any work."""
+    if path is None or path == "-":
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"--out {path}: no such directory")
 
 
 def _note(message: str) -> None:
@@ -270,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spd-check", parents=[reads, writes],
                        help="strict positive definiteness diagnostics")
     p.add_argument("--K", type=_int_at_least(1), default=None)
-    p.add_argument("--threshold", type=float, default=1e-12)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--q-prime", dest="q_prime", type=_int_at_least(2), default=None)
     p.set_defaults(func=_cmd_spd_check)
 
@@ -284,6 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except SequenceValidityError as exc:
         _note(f"error: {exc}")

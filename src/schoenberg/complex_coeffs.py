@@ -132,12 +132,8 @@ def compute_complex_coeffs(
     the real parts; the largest dropped imaginary magnitude is available as
     the ``max_imag`` attribute of the result.
     """
-    max_degree = _integer("max_degree", max_degree)
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    q = _integer("q", q)
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    max_degree = _integer("max_degree", max_degree, 0)
+    q = _integer("q", q, 2)
     fn = getattr(phi, "eval", phi)
     radial = _node_count(nodes, max_degree + q + 12)
     plan = _disk_plan(q, radial, max_degree)

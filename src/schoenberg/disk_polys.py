@@ -36,13 +36,10 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .gegenbauer import _jacobi_rows
+from .gegenbauer import BOUNDARY_TOL, _jacobi_rows
 from .quadrature import _integer
 
 __all__ = ["disk_poly_eval", "h_norm"]
-
-#: |z| may exceed 1 by at most this before being rejected
-DISK_BOUNDARY_TOL = 1e-12
 
 
 def _angular(ell: int, z):
@@ -54,11 +51,11 @@ def _disk_points(z):
     """``z`` as a complex array with ``|z|^2`` clamped to 1.
 
     Raises ValueError naming the first point that is NaN or lies outside
-    the closed unit disk by more than the 1e-12 boundary margin.
+    the closed unit disk by more than the ``BOUNDARY_TOL`` margin.
     """
     z = np.asarray(z, dtype=complex)
     radius_sq = (z * z.conjugate()).real
-    outside = ~(radius_sq <= 1.0 + 2.0 * DISK_BOUNDARY_TOL)
+    outside = ~(radius_sq <= 1.0 + 2.0 * BOUNDARY_TOL)
     if np.any(outside):
         raise ValueError(f"z must lie in the closed unit disk, got {z[outside].flat[0]}")
     return z, np.minimum(radius_sq, 1.0)
@@ -67,14 +64,12 @@ def _disk_points(z):
 def disk_poly_eval(m: int, n: int, alpha: float, z):
     """Evaluate the bi-degree (m, n) disk polynomial of parameter alpha at z.
 
-    z may be a scalar or array of complex numbers with |z| <= 1 (a 1e-12
-    margin is clamped). The radial part is evaluated in s = |z|^2, keeping
-    full accuracy near the rim. ``alpha`` must be a real number, not a
-    boolean, finite and nonnegative.
+    z may be a scalar or array of complex numbers with |z| <= 1 (a
+    ``BOUNDARY_TOL`` margin is clamped). The radial part is evaluated in
+    s = |z|^2, keeping full accuracy near the rim. ``alpha`` must be a real
+    number, not a boolean, finite and nonnegative.
     """
-    m, n = _integer("m", m), _integer("n", n)
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
+    m, n = _integer("m", m, 0), _integer("n", n, 0)
     if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
         raise ValueError(f"alpha must be a real number, got alpha={alpha!r}")
     if not (isfinite(alpha) and alpha >= 0.0):
@@ -90,10 +85,6 @@ def disk_poly_eval(m: int, n: int, alpha: float, z):
 
 def h_norm(m: int, n: int, q: int) -> float:
     """Reciprocal squared norm of the (m, n) disk polynomial at parameter q - 2."""
-    m, n, q = _integer("m", m), _integer("n", n), _integer("q", q)
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
+    m, n, q = _integer("m", m, 0), _integer("n", n, 0), _integer("q", q, 2)
     return (m + n + q - 1) / (q - 1) * comb(m + q - 2, q - 2) * comb(n + q - 2, q - 2)
 

@@ -107,9 +107,7 @@ def poisson_circle_coeffs(r: float, truncation: int) -> RealSchoenbergSequence:
     """Closed-form circle coefficients of the normalized Poisson kernel."""
     if not 0.0 < r < 1.0:
         raise ValueError("poisson parameter r must lie in (0, 1)")
-    truncation = _integer("truncation", truncation)
-    if truncation < 0:
-        raise ValueError(f"truncation must be nonnegative, got {truncation}")
+    truncation = _integer("truncation", truncation, 0)
     scale = (1.0 - r) / (1.0 + r)
     coeffs = np.empty(truncation + 1)
     coeffs[0] = scale
@@ -125,6 +123,7 @@ def random_real_sequence(
     ``pad`` appends that many zero entries past the support, handy before a
     forward walk (whose truncation shrinks by 2).
     """
+    truncation, pad = _integer("truncation", truncation, 0), _integer("pad", pad, 0)
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(0.0, 1.0, truncation + 1)
     coeffs /= coeffs.sum()
@@ -149,8 +148,7 @@ def disk_constant() -> DiskFunction:
 
 def disk_monomial(m: int, n: int) -> DiskFunction:
     """The monomial z^m conj(z)^n; equals |z|^2 for (1, 1) and z for (1, 0)."""
-    if m < 0 or n < 0:
-        raise ValueError("monomial degrees must be nonnegative")
+    m, n = _integer("m", m, 0), _integer("n", n, 0)
 
     def values(z):
         z = np.asarray(z, dtype=complex)
@@ -163,6 +161,7 @@ def random_complex_sequence(
     q: int, max_degree: int, seed: int, n_terms: int = 6
 ) -> ComplexSchoenbergSequence:
     """Random sparse nonnegative normalized double sequence at parameter q."""
+    max_degree, n_terms = _integer("max_degree", max_degree, 0), _integer("n_terms", n_terms, 1)
     rng = np.random.default_rng(seed)
     pairs = [(m, n) for m in range(max_degree + 1) for n in range(max_degree + 1 - m)]
     chosen = rng.choice(len(pairs), size=min(n_terms, len(pairs)), replace=False)

@@ -32,8 +32,8 @@ from .quadrature import _integer
 
 __all__ = ["BOUNDARY_TOL", "normalized_gegenbauer_table"]
 
-# Points this close to +-1 are clamped instead of rejected: quadrature nodes
-# can round a hair outside the interval.
+# The one boundary margin: u, theta and |z| this far outside their domains
+# are clamped, not rejected, since nodes and grids can round a hair outside.
 BOUNDARY_TOL = 1e-12
 
 
@@ -54,11 +54,7 @@ def normalized_gegenbauer_table(n_max: int, d: int, u: np.ndarray) -> np.ndarray
     the real transforms' rows bit for bit. At d = 1 that is the Chebyshev
     recurrence, so row n is ``cos(n * arccos(u))``.
     """
-    n_max, d = _integer("n_max", n_max), _integer("d", d)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    if d < 1:
-        raise ValueError("dimension d must be >= 1")
+    n_max, d = _integer("n_max", n_max, 0), _integer("d", d, 1)
     u = np.atleast_1d(_as_unit_interval(u))
     _, table = next(_jacobi_blocks(n_max, 0.5 * (d - 2), u.ravel(), n_max + 1))
     return table.reshape(n_max + 1, *u.shape)

@@ -70,11 +70,16 @@ def _warn_if_under_resolved(coeffs) -> None:
         )
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a non-integer or a boolean is refused by ``name``."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return operator.index(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int; a non-integer, a boolean or a value below ``least``
+    is refused by ``name``. Every integer argument of the library is read here."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f">= {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 #: Gauss-Jacobi rules kept per process; the least recently used goes first
@@ -116,9 +121,7 @@ def gauss_jacobi(n_nodes: int, alpha: float, beta: float):
     read-only: copy them before changing them. ``alpha`` and ``beta`` must
     be real numbers, not booleans, finite and above -1.
     """
-    n = _integer("n_nodes", n_nodes)
-    if n < 1:
-        raise ValueError(f"need at least one node, got n_nodes={n}")
+    n = _integer("n_nodes", n_nodes, 1)
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ValueError(f"{name} must be a real number, got {name}={value!r}")
@@ -274,17 +277,11 @@ def _finite_samples(fn, nodes: np.ndarray, dtype, name: str, var: str) -> np.nda
 
 def default_node_count(truncation: int) -> int:
     """Node count giving polynomial exactness plus margin for analytic inputs."""
-    truncation = _integer("truncation", truncation)
-    if truncation < 0:
-        raise ValueError(f"truncation must be nonnegative, got truncation={truncation}")
-    return max(128, 2 * truncation + 32)
+    return max(128, 2 * _integer("truncation", truncation, 0) + 32)
 
 
 def _node_count(nodes, default: int) -> int:
     """A transform's ``nodes`` argument, or ``default`` when it is None."""
     if nodes is None:
         return default
-    nodes = _integer("nodes", nodes)
-    if nodes < 1:
-        raise ValueError(f"nodes must be at least 1, got nodes={nodes}")
-    return nodes
+    return _integer("nodes", nodes, 1)

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .gegenbauer import _jacobi_blocks
+from .gegenbauer import BOUNDARY_TOL, _jacobi_blocks
 from .quadrature import (
     RULE_CACHE_SIZE,
     _finite_samples,
@@ -55,11 +55,7 @@ def harmonic_dimension(n: int, d: int) -> float:
     log-gamma so large dimensions cannot overflow; N(1, n) is 1 for n = 0
     and 2 otherwise.
     """
-    n, d = _integer("n", n), _integer("d", d)
-    if d < 1:
-        raise ValueError("dimension d must be >= 1")
-    if n < 0:
-        raise ValueError("degree n must be nonnegative")
+    n, d = _integer("n", n, 0), _integer("d", d, 1)
     if n == 0:
         return 1.0
     log_value = (
@@ -99,11 +95,7 @@ def compute_real_coeffs(
     absolute mass exceeds 1 beyond roundoff, the telltale sign of an
     under-resolved rule.
     """
-    truncation = _integer("truncation", truncation)
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
-    if _integer("d", d) < 1:
-        raise ValueError("dimension d must be >= 1")
+    truncation, d = _integer("truncation", truncation, 0), _integer("d", d, 1)
     fn = getattr(psi, "eval", psi)
     alpha = 0.5 * (d - 2)
     u, weights = gauss_jacobi(_node_count(nodes, default_node_count(truncation)), alpha, alpha)
@@ -128,7 +120,7 @@ def reconstruct(seq: RealSchoenbergSequence, theta):
     """Evaluate the truncated expansion of ``seq`` at angle(s) theta."""
     scalar = np.ndim(theta) == 0
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    outside = ~((theta >= -1e-12) & (theta <= math.pi + 1e-12))
+    outside = ~((theta >= -BOUNDARY_TOL) & (theta <= math.pi + BOUNDARY_TOL))
     if np.any(outside):
         raise ValueError(f"theta must lie in [0, pi], got {theta[outside][0]}")
     alpha = 0.5 * (seq.d - 2)

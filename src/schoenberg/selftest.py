@@ -25,7 +25,7 @@ from .functions import (
     random_real_sequence,
 )
 from .gegenbauer import _jacobi_blocks
-from .quadrature import QuadratureResolutionWarning, gauss_jacobi
+from .quadrature import QuadratureResolutionWarning, _integer, gauss_jacobi
 from .real_coeffs import compute_real_coeffs
 from .sequences import ComplexSchoenbergSequence, RealSchoenbergSequence
 from .spd import check_progressions, support_pattern
@@ -325,6 +325,5 @@ CHECKS = (
 
 def run_selftest(seed: int = SEED) -> list[CheckResult]:
     """Run every registered check; deterministic for a fixed seed."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _integer("seed", seed, 0)
     return [check.run(seed) for check in CHECKS]

@@ -162,9 +162,7 @@ class RealSchoenbergSequence:
     tail_bound: float = field(default=0.0, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _integer("d", self.d))
-        if self.d < 1:
-            raise ValueError("dimension d must be >= 1")
+        object.__setattr__(self, "d", _integer("d", self.d, 1))
         coeffs = np.array(self.coeffs, dtype=float, copy=True)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a nonempty 1-D array")
@@ -239,12 +237,8 @@ class ComplexSchoenbergSequence:
     max_imag: float = field(default=0.0, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _integer("q", self.q))
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
-        object.__setattr__(self, "max_degree", _integer("max_degree", self.max_degree))
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
+        object.__setattr__(self, "q", _integer("q", self.q, 2))
+        object.__setattr__(self, "max_degree", _integer("max_degree", self.max_degree, 0))
         entries = self.entries.arrays if isinstance(self.entries, _EntryMap) else self.entries
         if not isinstance(entries, _Entries):
             keys = [_check_pair(key) for key in entries]

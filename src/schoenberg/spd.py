@@ -11,6 +11,11 @@ the available support, while meeting every progression up to some modulus
 is merely consistency, never a proof. The verdicts here are labeled
 accordingly, and the class-transfer helper only consumes evidence that was
 supplied to it; it never upgrades "consistent" to "strict".
+
+``transfer_class`` states the four class-transfer rules as one table:
+each row names a rule, whether its premises hold, the premise texts and
+the concluded class, and every row that holds becomes a
+``ClassImplication``.
 """
 from __future__ import annotations
 
@@ -154,9 +159,7 @@ def check_progressions(pattern: SupportPattern, max_modulus: int | None = None) 
     """
     if max_modulus is None:
         max_modulus = max(pattern.truncation, 1)
-    max_modulus = _integer("max_modulus", max_modulus)
-    if max_modulus < 1:
-        raise ValueError("max_modulus must be >= 1")
+    max_modulus = _integer("max_modulus", max_modulus, 1)
     diffs = pattern.diffs
     hits = {}
     violations = []
@@ -212,83 +215,39 @@ def transfer_class(
     follows from class nesting; for q' > q it must be supplied. Rules whose
     premises are unknown are simply not emitted.
     """
-    q_prime = _integer("q_prime", q_prime)
-    if q_prime < 2:
-        raise ValueError("q_prime must be >= 2")
+    q_prime = _integer("q_prime", q_prime, 2)
+    if real_evidence is None:
+        real_evidence = ClassEvidence("real", 0)  # membership and strictness unknown
+    elif real_evidence.space != "real":
+        raise ValueError("real_evidence must concern a real sphere")
+    q, d = seq_q.q, real_evidence.dim
     member_q = bool(seq_q.valid_mass)
-    strict_q = strict_at_q
-    if strict_q is None and verdicts.certified_violation:
-        strict_q = False
-    if q_prime_member is None and q_prime <= seq_q.q and member_q:
+    strict_q = False if strict_at_q is None and verdicts.certified_violation else strict_at_q
+    if q_prime_member is None and q_prime <= q and member_q:
         q_prime_member = True
 
-    implications = []
-    premise_q_member = f"positive definite on the complex sphere (q={seq_q.q})"
-    if strict_q is True and q_prime_member:
-        implications.append(
-            ClassImplication(
-                rule="strict-transfer-complex",
-                premises=(
-                    f"strictly positive definite on the complex sphere (q={seq_q.q})",
-                    f"positive definite on the complex sphere (q={q_prime})",
-                ),
-                conclusion=ClassEvidence(
-                    "complex", q_prime, member=True, strict=True, source="transfer"
-                ),
-            )
+    pd_q = f"positive definite on the complex sphere (q={q})"
+    strict_pd_q = f"strictly positive definite on the complex sphere (q={q})"
+    pd_q_prime = f"positive definite on the complex sphere (q={q_prime})"
+    # (rule, premises hold, premise texts, concluded (space, dim, strict))
+    rules = (
+        ("strict-transfer-complex", strict_q is True and q_prime_member,
+         (strict_pd_q, pd_q_prime), ("complex", q_prime, True)),
+        ("non-strict-transfer-complex", strict_q is False and member_q and q_prime_member,
+         (pd_q + ", not strictly", pd_q_prime), ("complex", q_prime, False)),
+        ("real-strictness-lifts", member_q and real_evidence.strict,
+         (pd_q, f"composed restriction strictly positive definite on S^{d}"),
+         ("real", 2 * q - 1, True)),
+        ("complex-strictness-descends", strict_q is True and real_evidence.member,
+         (strict_pd_q, f"composed restriction positive definite on S^{d}"), ("real", d, True)),
+    )
+    return tuple(
+        ClassImplication(
+            rule, texts, ClassEvidence(space, dim, member=True, strict=strict, source="transfer")
         )
-    if strict_q is False and member_q and q_prime_member:
-        implications.append(
-            ClassImplication(
-                rule="non-strict-transfer-complex",
-                premises=(
-                    premise_q_member + ", not strictly",
-                    f"positive definite on the complex sphere (q={q_prime})",
-                ),
-                conclusion=ClassEvidence(
-                    "complex", q_prime, member=True, strict=False, source="transfer"
-                ),
-            )
-        )
-    if real_evidence is not None:
-        if real_evidence.space != "real":
-            raise ValueError("real_evidence must concern a real sphere")
-        if member_q and real_evidence.strict:
-            implications.append(
-                ClassImplication(
-                    rule="real-strictness-lifts",
-                    premises=(
-                        premise_q_member,
-                        "composed restriction strictly positive definite "
-                        f"on S^{real_evidence.dim}",
-                    ),
-                    conclusion=ClassEvidence(
-                        "real",
-                        2 * seq_q.q - 1,
-                        member=True,
-                        strict=True,
-                        source="transfer",
-                    ),
-                )
-            )
-        if strict_q is True and real_evidence.member:
-            implications.append(
-                ClassImplication(
-                    rule="complex-strictness-descends",
-                    premises=(
-                        f"strictly positive definite on the complex sphere (q={seq_q.q})",
-                        f"composed restriction positive definite on S^{real_evidence.dim}",
-                    ),
-                    conclusion=ClassEvidence(
-                        "real",
-                        real_evidence.dim,
-                        member=True,
-                        strict=True,
-                        source="transfer",
-                    ),
-                )
-            )
-    return tuple(implications)
+        for rule, holds, texts, (space, dim, strict) in rules
+        if holds
+    )
 
 
 def report_with_notes(report: SpdReport, implications) -> SpdReport:

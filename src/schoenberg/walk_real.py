@@ -89,9 +89,7 @@ def walk_down(seq: RealSchoenbergSequence, n_out: int | None = None) -> RealScho
     if seq.d < 3:
         raise ValueError("walk_down needs input dimension >= 3")
     n_in = seq.truncation
-    n_out = n_in if n_out is None else _integer("n_out", n_out)
-    if n_out < 0:
-        raise ValueError(f"n_out must be nonnegative, got {n_out}")
+    n_out = n_in if n_out is None else _integer("n_out", n_out, 0)
     lead, drop = _bands(seq.d - 2, n_in + 1)
     g, r = seq.coeffs / lead, drop / lead
     for s in (1 << p for p in range(1, n_in.bit_length())):  # s = 2, 4, 8, ... <= n_in
@@ -112,9 +110,9 @@ def cross_project(seq: RealSchoenbergSequence, d_prime: int) -> RealSchoenbergSe
         W(j, k+1) / W(j, k) = A(j+k) B(k) C(j+2k),  B(k) = (lambda-mu+k) / (k+1),
         A(m) = (lambda+m) / (mu+m+1),  C(n) = (n+1)(n+2) / ((2lambda+n)(2lambda+n+1)).
     """
-    d_prime = _integer("d_prime", d_prime)
-    if not 1 <= d_prime < seq.d:
-        raise ValueError("cross_project requires 1 <= d_prime < seq.d")
+    d_prime = _integer("d_prime", d_prime, 1)
+    if d_prime >= seq.d:
+        raise ValueError(f"cross_project requires d_prime < seq.d, got {d_prime} >= {seq.d}")
     lam, mu = (seq.d - 1) / 2.0, (d_prime - 1) / 2.0
     size = seq.truncation + 1
     half = (size + 1) // 2

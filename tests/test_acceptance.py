@@ -2,6 +2,9 @@
 line with the measured worst case. The checks, their tolerances and seeds live
 in the ``schoenberg.selftest`` registry. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
+import pytest
+
+from schoenberg import selftest
 from schoenberg.selftest import CHECKS, SEED
 
 
@@ -58,3 +61,19 @@ def test_criterion_10_spd_diagnostics():
 def test_registry_names_unique_and_criteria_complete():
     assert len({check.name for check in CHECKS}) == len(CHECKS)
     assert sorted(c.criterion for c in CHECKS if c.criterion is not None) == list(range(1, 11))
+
+
+class _MustNotRun:
+    def run(self, seed):
+        pytest.fail(f"a check ran with seed {seed!r}")
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(True, "an integer, got True"), (2.5, "an integer, got 2.5"), (-1, "nonnegative, got -1")],
+)
+def test_selftest_refuses_a_bad_seed_before_any_check_runs(monkeypatch, seed, message):
+    # a boolean once ran the whole suite as seed 1
+    monkeypatch.setattr(selftest, "CHECKS", (_MustNotRun(),))
+    with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+        selftest.run_selftest(seed)

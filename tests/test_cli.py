@@ -375,6 +375,22 @@ def test_directory_paths_exit_1(capsys, tmp_path):
         assert "Traceback" not in err and out == "", argv
 
 
+def test_unwritable_out_exits_1_before_the_command_runs(capsys, tmp_path, monkeypatch):
+    # a directory, or a file in a missing directory, is refused before the
+    # transform runs, and nothing is created on the way
+    def must_not_run(*args):
+        pytest.fail("the transform ran")
+
+    monkeypatch.setattr(schoenberg.cli, "compute_real_coeffs", must_not_run)
+    for out in (tmp_path, tmp_path / "missing" / "c.json"):
+        argv = ("coeffs", "--family", "constant", "--d", "2", "--N", "3", "--out", str(out))
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1, out
+        assert err.startswith("error: --out ") and str(out) in err, err
+        assert "Traceback" not in err and stdout == "", out
+    assert list(tmp_path.iterdir()) == []
+
+
 # command -> (reads --in, writes --out)
 FILE_OPTIONS = {
     "coeffs": (False, True),

@@ -16,9 +16,13 @@ from schoenberg import (
     default_node_count,
     disk_constant,
     disk_from_sequence,
+    disk_monomial,
     gauss_jacobi,
+    gegenbauer_mixture,
     poisson_circle_coeffs,
     poisson_isotropic,
+    random_complex_sequence,
+    random_real_sequence,
     support_pattern,
     transfer_class,
     walk_down,
@@ -94,9 +98,9 @@ def test_disk_rule_has_unit_mass():
 def test_rule_validation():
     with pytest.raises(ValueError):
         gauss_jacobi(4, -1.0, 0.0)
-    with pytest.raises(ValueError, match="dimension d must be >= 1"):
+    with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
         compute_real_coeffs(constant_isotropic(), 0, 8)
-    with pytest.raises(ValueError, match="q must be >= 2"):
+    with pytest.raises(ValueError, match="^q must be >= 2, got 1$"):
         compute_complex_coeffs(disk_constant(), 1, 4)
 
 
@@ -185,25 +189,35 @@ def transfer_to(q_prime):
     return transfer_class(seq, check_progressions(support_pattern(seq)), q_prime, strict_at_q=True)
 
 
+# (argument, least value it may take, call with that argument set to v)
+INTEGER_ARGUMENTS = {
+    "real-coeffs": ("truncation", 0, lambda v: compute_real_coeffs(constant_isotropic(), 3, v)),
+    "complex-coeffs": ("max_degree", 0, lambda v: compute_complex_coeffs(disk_constant(), 3, v)),
+    "complex-sequence": ("max_degree", 0, lambda v: ComplexSchoenbergSequence(3, {}, v)),
+    "walk-down": (
+        "n_out", 0, lambda v: walk_down(RealSchoenbergSequence(5, [0.5, 0.5, 0.0]), n_out=v)),
+    "progressions": ("max_modulus", 1, lambda v: check_progressions(
+        support_pattern(ComplexSchoenbergSequence(2, {(0, 0): 1.0}, 2)), v)),
+    "transfer-class": ("q_prime", 2, transfer_to),
+    "poisson-circle": ("truncation", 0, lambda v: poisson_circle_coeffs(0.5, v)),
+    "table-degree": ("n_max", 0, lambda v: normalized_gegenbauer_table(v, 2, 0.5)),
+    "table-dimension": ("d", 1, lambda v: normalized_gegenbauer_table(2, v, 0.5)),
+    "monomial-m": ("m", 0, lambda v: disk_monomial(v, 1)),
+    "monomial-n": ("n", 0, lambda v: disk_monomial(1, v)),
+    "random-real-truncation": ("truncation", 0, lambda v: random_real_sequence(3, v, 0)),
+    "random-real-pad": ("pad", 0, lambda v: random_real_sequence(3, 4, 0, pad=v)),
+    "mixture-truncation": ("truncation", 0, lambda v: gegenbauer_mixture(3, v, 0)),
+    "random-complex-degree": ("max_degree", 0, lambda v: random_complex_sequence(3, v, 0)),
+    "random-complex-terms": (
+        "n_terms", 1, lambda v: random_complex_sequence(3, 4, 0, n_terms=v)),
+}
+
+
 @pytest.mark.parametrize("value", [2.5, True, math.nan])
 @pytest.mark.parametrize(
     "name, call",
-    [
-        ("truncation", lambda v: compute_real_coeffs(constant_isotropic(), 3, v)),
-        ("max_degree", lambda v: compute_complex_coeffs(disk_constant(), 3, v)),
-        ("max_degree", lambda v: ComplexSchoenbergSequence(3, {}, v)),
-        ("n_out", lambda v: walk_down(RealSchoenbergSequence(5, [0.5, 0.5, 0.0]), n_out=v)),
-        ("max_modulus", lambda v: check_progressions(
-            support_pattern(ComplexSchoenbergSequence(2, {(0, 0): 1.0}, 2)), v)),
-        ("q_prime", transfer_to),
-        ("truncation", lambda v: poisson_circle_coeffs(0.5, v)),
-        ("n_max", lambda v: normalized_gegenbauer_table(v, 2, 0.5)),
-        ("d", lambda v: normalized_gegenbauer_table(2, v, 0.5)),
-    ],
-    ids=[
-        "real-coeffs", "complex-coeffs", "complex-sequence", "walk-down", "progressions",
-        "transfer-class", "poisson-circle", "table-degree", "table-dimension",
-    ],
+    [(name, call) for name, _, call in INTEGER_ARGUMENTS.values()],
+    ids=list(INTEGER_ARGUMENTS),
 )
 def test_degree_arguments_must_be_integers(name, call, value):
     # a fractional degree once sized a rule from it, built a sequence with
@@ -212,6 +226,18 @@ def test_degree_arguments_must_be_integers(name, call, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call(value)
     call(np.int64(2))
+
+
+@pytest.mark.parametrize(
+    "name, least, call", list(INTEGER_ARGUMENTS.values()), ids=list(INTEGER_ARGUMENTS)
+)
+def test_integer_arguments_below_their_bound_are_refused(name, least, call):
+    # one rule and one message for every bound: below it the argument is
+    # named with the bound, never a bare numpy error or an empty sequence
+    bound = "nonnegative" if least == 0 else f">= {least}"
+    with pytest.raises(ValueError, match=f"^{name} must be {bound}, got {least - 1}$"):
+        call(least - 1)
+    call(least)
 
 
 def golub_welsch(n_nodes, alpha, beta):
@@ -350,7 +376,7 @@ def test_gauss_jacobi_rejects_bad_arguments_before_the_cache():
         gauss_jacobi(4, 0, math.inf)
     with pytest.raises(ValueError, match="alpha=nan"):
         gauss_jacobi(4, math.nan, 0)
-    with pytest.raises(ValueError, match="need at least one node"):
+    with pytest.raises(ValueError, match="^n_nodes must be >= 1, got 0$"):
         gauss_jacobi(0, 0.0, 0.0)
     # 8 and 8.0 hash alike, so a cached 8-node rule must not let 8.0 through
     gauss_jacobi(8, 0.5, 0.5)
@@ -378,7 +404,7 @@ def test_default_node_count_checks_its_argument():
     for bad, message in (
         (2.5, "truncation must be an integer"),
         (True, "truncation must be an integer"),
-        (-5, "truncation must be nonnegative, got truncation=-5"),
+        (-5, "truncation must be nonnegative, got -5$"),
     ):
         with pytest.raises(ValueError, match=f"^{message}"):
             default_node_count(bad)

@@ -4,12 +4,14 @@ import pytest
 from schoenberg import (
     ClassEvidence,
     ComplexSchoenbergSequence,
+    SupportPattern,
     check_progressions,
     random_complex_sequence,
     support_pattern,
     transfer_class,
     walk_down_complex,
 )
+from schoenberg.spd import report_with_notes
 
 
 def diagonal_sequence(q=2, levels=(0, 2), degree=4):
@@ -175,3 +177,66 @@ def test_transfer_statements_are_readable():
     report = check_progressions(support_pattern(seq), 2)
     implications = transfer_class(seq, report, 3, q_prime_member=True)
     assert all("=>" in i.statement for i in implications)
+
+
+def expected_conclusions(seq, report, q_prime, q_prime_member, strict_at_q, real):
+    """rule -> (space, dim, strict) of every rule whose premises hold, read off the paper."""
+    member_q = seq.valid_mass
+    strict_q = strict_at_q
+    if strict_q is None and report.violations:
+        strict_q = False  # a certified violation refutes strictness at q
+    if q_prime_member is None and q_prime <= seq.q and member_q:
+        q_prime_member = True  # the classes are nested in q
+    expected = {}
+    if strict_q is True and q_prime_member is True:
+        expected["strict-transfer-complex"] = ("complex", q_prime, True)
+    if strict_q is False and member_q and q_prime_member is True:
+        expected["non-strict-transfer-complex"] = ("complex", q_prime, False)
+    if real is not None and member_q and real.strict is True:
+        expected["real-strictness-lifts"] = ("real", 2 * seq.q - 1, True)
+    if real is not None and strict_q is True and real.member is True:
+        expected["complex-strictness-descends"] = ("real", real.dim, True)
+    return expected
+
+
+def test_transfer_rules_fire_exactly_when_their_premises_hold():
+    # every combination of evidence: 3 sequences (one certified violation,
+    # one consistent, one mass-invalid) x q' x q'-membership x strictness at
+    # q x real evidence (none, or a real sphere with every member/strict)
+    invalid = ComplexSchoenbergSequence(4, {(0, 0): 2.0, (1, 0): -0.5}, 3)
+    cases = [
+        (diagonal_sequence(q=2), check_progressions(support_pattern(diagonal_sequence(q=2)))),
+        (full_sequence(q=3), check_progressions(support_pattern(full_sequence(q=3)))),
+        (invalid, check_progressions(SupportPattern(frozenset({0, 1}), 1e-12, 3))),
+    ]
+    known = (None, True, False)
+    reals = [None] + [
+        ClassEvidence("real", dim, member=member, strict=strict)
+        for dim in (2, 5) for member in known for strict in known
+    ]
+    fired = set()
+    for seq, report in cases:
+        for q_prime in (2, 3, 5):
+            for q_prime_member in known:
+                for strict_at_q in known:
+                    for real in reals:
+                        implications = transfer_class(
+                            seq, report, q_prime, q_prime_member, strict_at_q, real
+                        )
+                        got = {
+                            i.rule: (i.conclusion.space, i.conclusion.dim, i.conclusion.strict)
+                            for i in implications
+                        }
+                        assert len(got) == len(implications)
+                        assert got == expected_conclusions(
+                            seq, report, q_prime, q_prime_member, strict_at_q, real
+                        )
+                        assert all(
+                            i.conclusion.member is True and i.conclusion.source == "transfer"
+                            and len(i.premises) == 2
+                            for i in implications
+                        )
+                        notes = report_with_notes(report, implications).transfer_notes
+                        assert notes == tuple(i.statement for i in implications)
+                        fired.update(got)
+    assert len(fired) == 4
