@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int_at_least(1), required=True)
     p.add_argument("--N", type=_int_at_least(0), required=True)
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--nodes", type=_int_at_least(1), default=None)
     p.set_defaults(func=_cmd_coeffs)
 
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_int_at_least(0), required=True)
     p.add_argument("--m", type=_int_at_least(0), default=None)
     p.add_argument("--n", type=_int_at_least(0), default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--nodes", type=_int_at_least(1), default=None)
     p.set_defaults(func=_cmd_ccoeffs)
 
@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spd_check)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -31,13 +31,12 @@ from scratch.
 """
 from __future__ import annotations
 
-import numbers
-from math import comb, isfinite
+from math import comb
 
 import numpy as np
 
 from .gegenbauer import BOUNDARY_TOL, _jacobi_rows
-from .quadrature import _integer
+from .quadrature import _integer, _real
 
 __all__ = ["disk_poly_eval", "h_norm"]
 
@@ -67,13 +66,9 @@ def disk_poly_eval(m: int, n: int, alpha: float, z):
     z may be a scalar or array of complex numbers with |z| <= 1 (a
     ``BOUNDARY_TOL`` margin is clamped). The radial part is evaluated in
     s = |z|^2, keeping full accuracy near the rim. ``alpha`` must be a real
-    number, not a boolean, finite and nonnegative.
+    number in [0, inf).
     """
-    m, n = _integer("m", m, 0), _integer("n", n, 0)
-    if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
-        raise ValueError(f"alpha must be a real number, got alpha={alpha!r}")
-    if not (isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be finite and nonnegative, got alpha={alpha!r}")
+    m, n, alpha = _integer("m", m, 0), _integer("n", n, 0), _real("alpha", alpha, least=0)
     scalar = np.ndim(z) == 0
     z, radius_sq = _disk_points(z)
     x = 2.0 * radius_sq.ravel() - 1.0

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .complex_coeffs import reconstruct_complex
-from .quadrature import _integer
+from .quadrature import _integer, _real
 from .real_coeffs import reconstruct
 from .sequences import ComplexSchoenbergSequence, RealSchoenbergSequence
 
@@ -41,6 +41,12 @@ __all__ = [
 NORMALIZATION_TOL = 1e-10
 
 
+def _check_normalized(label: str, value, point: str) -> None:
+    """Refuse a function whose value at its normalization point is not 1, NaN included."""
+    if not abs(value - 1.0) <= NORMALIZATION_TOL:
+        raise ValueError(f"{label!r} evaluates to {value!r} at {point}, expected 1")
+
+
 @dataclass(frozen=True)
 class IsotropicFunction:
     """Real-valued function on [0, pi] normalized to 1 at 0.
@@ -53,11 +59,7 @@ class IsotropicFunction:
     eval: Callable
 
     def __post_init__(self):
-        at_zero = float(np.asarray(self.eval(np.array(0.0))))
-        if abs(at_zero - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"{self.label!r} evaluates to {at_zero!r} at 0, expected 1"
-            )
+        _check_normalized(self.label, float(np.asarray(self.eval(np.array(0.0)))), "0")
 
     def __call__(self, theta):
         return self.eval(theta)
@@ -71,11 +73,7 @@ class DiskFunction:
     eval: Callable
 
     def __post_init__(self):
-        at_one = complex(np.asarray(self.eval(np.array(1.0 + 0.0j))))
-        if abs(at_one - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"{self.label!r} evaluates to {at_one!r} at 1, expected 1"
-            )
+        _check_normalized(self.label, complex(np.asarray(self.eval(np.array(1.0 + 0.0j)))), "1")
 
     def __call__(self, z):
         return self.eval(z)
@@ -91,8 +89,7 @@ def cosine_isotropic() -> IsotropicFunction:
 
 def poisson_isotropic(r: float) -> IsotropicFunction:
     """Poisson kernel with parameter r in (0, 1), scaled to equal 1 at 0."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("poisson parameter r must lie in (0, 1)")
+    r = _real("r", r, above=0, below=1)
 
     def values(theta):
         theta = np.asarray(theta, dtype=float)
@@ -105,9 +102,7 @@ def poisson_isotropic(r: float) -> IsotropicFunction:
 
 def poisson_circle_coeffs(r: float, truncation: int) -> RealSchoenbergSequence:
     """Closed-form circle coefficients of the normalized Poisson kernel."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("poisson parameter r must lie in (0, 1)")
-    truncation = _integer("truncation", truncation, 0)
+    r, truncation = _real("r", r, above=0, below=1), _integer("truncation", truncation, 0)
     scale = (1.0 - r) / (1.0 + r)
     coeffs = np.empty(truncation + 1)
     coeffs[0] = scale
@@ -124,7 +119,7 @@ def random_real_sequence(
     forward walk (whose truncation shrinks by 2).
     """
     truncation, pad = _integer("truncation", truncation, 0), _integer("pad", pad, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     coeffs = rng.uniform(0.0, 1.0, truncation + 1)
     coeffs /= coeffs.sum()
     if pad:
@@ -162,7 +157,7 @@ def random_complex_sequence(
 ) -> ComplexSchoenbergSequence:
     """Random sparse nonnegative normalized double sequence at parameter q."""
     max_degree, n_terms = _integer("max_degree", max_degree, 0), _integer("n_terms", n_terms, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     pairs = [(m, n) for m in range(max_degree + 1) for n in range(max_degree + 1 - m)]
     chosen = rng.choice(len(pairs), size=min(n_terms, len(pairs)), replace=False)
     weights = rng.uniform(0.1, 1.0, len(chosen))

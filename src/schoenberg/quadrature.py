@@ -82,6 +82,25 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return value
 
 
+def _real(name: str, value, *, least=None, above=None, below=math.inf) -> float:
+    """``value`` as a float; a non-number, a boolean or NaN is refused by
+    ``name``, and so is a value outside ``[least, below)`` or ``(above, below)``
+    when that lower bound is given. Every real argument of the library is read here."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf if value > 0 else -math.inf
+    if math.isnan(number):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if least is not None and not least <= number < below:
+        raise ValueError(f"{name} must lie in [{least:g}, {below:g}), got {value!r}")
+    if above is not None and not above < number < below:
+        raise ValueError(f"{name} must lie in ({above:g}, {below:g}), got {value!r}")
+    return number
+
+
 #: Gauss-Jacobi rules kept per process; the least recently used goes first
 RULE_CACHE_SIZE = 32
 
@@ -119,15 +138,13 @@ def gauss_jacobi(n_nodes: int, alpha: float, beta: float):
     Rules are cached per process (the last ``RULE_CACHE_SIZE`` argument
     triples), so a repeated call returns the same two arrays. They are
     read-only: copy them before changing them. ``alpha`` and ``beta`` must
-    be real numbers, not booleans, finite and above -1.
+    be real numbers in (-1, inf).
     """
-    n = _integer("n_nodes", n_nodes, 1)
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a real number, got {name}={value!r}")
-        if not (math.isfinite(value) and value > -1.0):
-            raise ValueError(f"{name} must be finite and exceed -1, got {name}={value!r}")
-    return _gauss_jacobi(n, float(alpha), float(beta))
+    return _gauss_jacobi(
+        _integer("n_nodes", n_nodes, 1),
+        _real("alpha", alpha, above=-1),
+        _real("beta", beta, above=-1),
+    )
 
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)

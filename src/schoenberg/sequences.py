@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import _integer
+from .quadrature import _integer, _real
 
 __all__ = [
     "MASS_TOL",
@@ -77,18 +77,6 @@ def _tail_bound(boundary: np.ndarray) -> float:
     boundary entries, or 0 if none exceeds ``TAIL_TOL``."""
     worst = float(np.abs(boundary).max(initial=0.0))
     return worst if worst > TAIL_TOL else 0.0
-
-
-def _check_threshold(threshold, nonnegative: bool = False):
-    """A support threshold, never NaN; ``nonnegative`` asks for a finite number
-    >= 0, as the diagnostics of positive definiteness do (below 0, roundoff
-    entries count as support)."""
-    number = isinstance(threshold, numbers.Real) and not math.isnan(threshold)
-    if nonnegative and not (number and 0 <= threshold < math.inf):
-        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
-    if not number:
-        raise ValueError(f"threshold must be a number, not NaN, got {threshold!r}")
-    return threshold
 
 
 class _Entries(NamedTuple):
@@ -287,13 +275,13 @@ class ComplexSchoenbergSequence:
     def support(self, threshold: float = 0.0):
         """Index pairs whose coefficient exceeds ``threshold``."""
         m, n, values = self.entries.arrays
-        above = values > _check_threshold(threshold)
+        above = values > _real("threshold", threshold)
         return set(zip(m[above].tolist(), n[above].tolist()))
 
     def diagonals(self, threshold: float = 0.0):
         """Values of m - n present in the support."""
         m, n, values = self.entries.arrays
-        above = values > _check_threshold(threshold)
+        above = values > _real("threshold", threshold)
         return set((m[above] - n[above]).tolist())
 
     def to_dict(self) -> dict:

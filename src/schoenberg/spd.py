@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .quadrature import _integer
-from .sequences import ComplexSchoenbergSequence, _check_threshold
+from .quadrature import _integer, _real
+from .sequences import ComplexSchoenbergSequence
 
 __all__ = [
     "SupportPattern",
@@ -138,10 +138,10 @@ def support_pattern(
 
     Requires a mass-valid sequence; the diagnostics are statements about
     nonnegative expansions and are meaningless otherwise. The threshold
-    must be a finite number >= 0: below 0, roundoff entries count as
+    must be a real number in [0, inf): below 0, roundoff entries count as
     support.
     """
-    _check_threshold(threshold, nonnegative=True)
+    threshold = _real("threshold", threshold, least=0)
     if not seq.valid_mass:
         raise ValueError("support_pattern requires a mass-valid sequence")
     return SupportPattern(

@@ -297,6 +297,20 @@ def test_selftest_negative_seed_exits_1_and_names_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "2.5"])
+def test_bad_seed_exits_1_naming_seed(capsys, tmp_path, seed):
+    # the seed once reached numpy unchecked, whose error named no option
+    out = tmp_path / "o.json"
+    for argv in (
+        ("coeffs", "--family", "gegenbauer-mixture", "--d", "3", "--N", "8"),
+        ("ccoeffs", "--family", "disk-mixture", "--q", "3", "--M", "4"),
+    ):
+        code, stdout, err = run(capsys, *argv, "--seed", seed, "--out", str(out))
+        assert code == 1, argv
+        assert f"argument --seed: expected an integer >= 0, got '{seed}'" in err, argv
+        assert stdout == "" and not out.exists(), argv
+
+
 def test_selftest_crashing_check_fails_and_exits_2(capsys, monkeypatch):
     def boom(rng, tol):
         raise RuntimeError("boom")

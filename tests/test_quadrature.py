@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 import schoenberg
 from schoenberg import (
     ComplexSchoenbergSequence,
+    DiskFunction,
+    IsotropicFunction,
     RealSchoenbergSequence,
     QuadratureResolutionWarning,
     check_progressions,
@@ -16,7 +19,9 @@ from schoenberg import (
     default_node_count,
     disk_constant,
     disk_from_sequence,
+    disk_mixture,
     disk_monomial,
+    disk_poly_eval,
     gauss_jacobi,
     gegenbauer_mixture,
     poisson_circle_coeffs,
@@ -210,10 +215,14 @@ INTEGER_ARGUMENTS = {
     "random-complex-degree": ("max_degree", 0, lambda v: random_complex_sequence(3, v, 0)),
     "random-complex-terms": (
         "n_terms", 1, lambda v: random_complex_sequence(3, 4, 0, n_terms=v)),
+    "random-real-seed": ("seed", 0, lambda v: random_real_sequence(3, 4, v)),
+    "random-complex-seed": ("seed", 0, lambda v: random_complex_sequence(3, 4, v)),
+    "mixture-seed": ("seed", 0, lambda v: gegenbauer_mixture(3, 4, v)),
+    "disk-mixture-seed": ("seed", 0, lambda v: disk_mixture(3, 4, v)),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, True, math.nan])
+@pytest.mark.parametrize("value", [2.5, True, math.nan, [1, 2]])
 @pytest.mark.parametrize(
     "name, call",
     [(name, call) for name, _, call in INTEGER_ARGUMENTS.values()],
@@ -238,6 +247,78 @@ def test_integer_arguments_below_their_bound_are_refused(name, least, call):
     with pytest.raises(ValueError, match=f"^{name} must be {bound}, got {least - 1}$"):
         call(least - 1)
     call(least)
+
+
+TWO_DIAGONALS = ComplexSchoenbergSequence(2, {(0, 0): 0.5, (1, 0): 0.5}, 2)
+
+
+# (argument, interval as the message writes it, or None for any real
+# number, values refused as outside it, values accepted, call with the
+# argument set to v)
+REAL_ARGUMENTS = {
+    "jacobi-alpha": ("alpha", "(-1, inf)", [-1, -2.5, math.inf], [-0.5, 30.0],
+                     lambda v: gauss_jacobi(3, v, 0.0)),
+    "jacobi-beta": ("beta", "(-1, inf)", [-1.0, -math.inf, math.inf], [-0.99, 2.0],
+                    lambda v: gauss_jacobi(3, 0.0, v)),
+    "disk-poly-alpha": ("alpha", "[0, inf)", [-1e-17, -1, math.inf], [0.0, 1.5],
+                        lambda v: disk_poly_eval(1, 1, v, 0.5)),
+    "poisson-r": ("r", "(0, 1)", [0, 1.0, -0.5, 1.5, 10**400], [1e-3, 0.5, 0.999],
+                  poisson_isotropic),
+    "poisson-circle-r": ("r", "(0, 1)", [0.0, 1, math.inf], [0.5],
+                         lambda v: poisson_circle_coeffs(v, 4)),
+    "support-pattern-threshold": (
+        "threshold", "[0, inf)", [-1e-17, -1.0, math.inf, 10**400], [0.0, 1e-12, 0.6],
+        lambda v: support_pattern(ComplexSchoenbergSequence(2, {(0, 0): 1.0}, 2), v)),
+    "support-threshold": ("threshold", None, [], [-math.inf, -1.0, 0.6, math.inf],
+                          TWO_DIAGONALS.support),
+    "diagonals-threshold": ("threshold", None, [], [-math.inf, 0.0, math.inf],
+                            TWO_DIAGONALS.diagonals),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, "1", 1j, None, math.nan, np.array([0.5])],
+    ids=["True", "numpy-True", "str", "complex", "None", "nan", "array"],
+)
+@pytest.mark.parametrize(
+    "name, call", [(row[0], row[-1]) for row in REAL_ARGUMENTS.values()], ids=list(REAL_ARGUMENTS)
+)
+def test_real_arguments_must_be_real_numbers(name, call, value):
+    # a boolean once ran as 1, a string or an array ended in a bare numpy
+    # error, and NaN passed some comparisons
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "name, interval, outside, inside, call", list(REAL_ARGUMENTS.values()), ids=list(REAL_ARGUMENTS)
+)
+def test_real_arguments_outside_their_interval_are_refused(name, interval, outside, inside, call):
+    # one rule and one message for every interval, which the message writes as checked
+    for value in outside:
+        with pytest.raises(
+            ValueError, match=f"^{name} must lie in {re.escape(interval)}, got {re.escape(repr(value))}$"
+        ):
+            call(value)
+    for value in inside:
+        call(np.float64(value))
+        call(value)
+
+
+@pytest.mark.parametrize("function, value, point", [
+    (IsotropicFunction, math.nan, 0),
+    (IsotropicFunction, math.inf, 0),
+    (DiskFunction, complex(math.nan, 0.0), 1),
+    (DiskFunction, complex(math.nan, math.nan), 1),
+], ids=["isotropic-nan", "isotropic-inf", "disk-nan", "disk-nan-imag"])
+def test_normalization_must_hold_at_a_number(function, value, point):
+    # abs(NaN - 1) > tol is false, so a NaN at the normalization point once
+    # built a function that failed only at the transform's first sample
+    with pytest.raises(
+        ValueError, match=f"^'f' evaluates to {re.escape(repr(value))} at {point}, expected 1$"
+    ):
+        function("f", lambda x: np.full_like(x, value))
+    function("f", np.ones_like)
 
 
 def golub_welsch(n_nodes, alpha, beta):
@@ -372,9 +453,9 @@ def test_gauss_jacobi_rules_are_cached_and_read_only():
 
 
 def test_gauss_jacobi_rejects_bad_arguments_before_the_cache():
-    with pytest.raises(ValueError, match="beta=inf"):
+    with pytest.raises(ValueError, match=r"^beta must lie in \(-1, inf\), got inf$"):
         gauss_jacobi(4, 0, math.inf)
-    with pytest.raises(ValueError, match="alpha=nan"):
+    with pytest.raises(ValueError, match="^alpha must be a real number, got nan$"):
         gauss_jacobi(4, math.nan, 0)
     with pytest.raises(ValueError, match="^n_nodes must be >= 1, got 0$"):
         gauss_jacobi(0, 0.0, 0.0)
@@ -394,7 +475,10 @@ def test_gauss_jacobi_exponents_must_be_real_numbers():
         (0.0, np.bool_(False), "beta"),
         (0.0, 1j, "beta"),
     ):
-        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {name}="):
+        with pytest.raises(ValueError, match=(
+            f"^{name} must be a real number, got "
+            f"{re.escape(repr(alpha if name == 'alpha' else beta))}$"
+        )):
             gauss_jacobi(3, alpha, beta)
     assert len(gauss_jacobi(3, np.float32(0.5), np.int64(0))[0]) == 3
 

@@ -152,11 +152,13 @@ def test_complex_support_threshold_is_checked():
     seq = ComplexSchoenbergSequence(3, {(1, 0): 0.5, (0, 0): 0.75, (2, 0): -0.25}, 2)
     for method in (seq.support, seq.diagonals):
         for bad in (float("nan"), np.nan, None, "0.1"):
-            with pytest.raises(ValueError, match="^threshold must be a number"):
+            with pytest.raises(
+                ValueError, match=f"^threshold must be a real number, got {re.escape(repr(bad))}$"
+            ):
                 method(bad)
     assert seq.support() == {(1, 0), (0, 0)} and seq.support(0.6) == {(0, 0)}
     assert seq.diagonals(-np.inf) == {0, 1, 2} and seq.diagonals(np.inf) == set()
-    with pytest.raises(ValueError, match="^threshold must be a finite number >= 0"):
+    with pytest.raises(ValueError, match="^threshold must be a real number, got nan$"):
         support_pattern(ComplexSchoenbergSequence(3, {(0, 0): 1.0}, 2), float("nan"))
 
 

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -40,7 +43,11 @@ def test_support_pattern_applies_threshold():
 @pytest.mark.parametrize("threshold", [-1.0, -1e-17, float("nan"), float("inf"), None])
 def test_support_pattern_refuses_bad_threshold(threshold):
     # below 0, roundoff entries would count as support
-    with pytest.raises(ValueError, match="^threshold must be a finite number >= 0"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+        "threshold must "
+        + ("be a real number" if threshold is None or math.isnan(threshold) else "lie in [0, inf)")
+        + f", got {threshold!r}"
+    ) + "$"):
         support_pattern(diagonal_sequence(), threshold)
 
 
