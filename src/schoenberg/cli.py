@@ -156,8 +156,7 @@ def _cmd_walk(args) -> int:
     kind, transform = _WALKS[args.command]
     seq = load_sequence(getattr(args, "in"))
     if not isinstance(seq, kind):
-        space = "real" if kind is RealSchoenbergSequence else "complex"
-        raise SequenceFormatError("space", f"{args.command} expects a {space} sequence")
+        raise SequenceFormatError("space", f"{args.command} expects a {kind.SPACE} sequence")
     result = transform(seq, args)
     if not result.valid_mass:
         _note("note: output fails the mass/negativity checks; flagged valid_mass=false")

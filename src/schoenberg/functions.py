@@ -41,42 +41,41 @@ __all__ = [
 NORMALIZATION_TOL = 1e-10
 
 
-def _check_normalized(label: str, value, point: str) -> None:
-    """Refuse a function whose value at its normalization point is not 1, NaN included."""
-    if not abs(value - 1.0) <= NORMALIZATION_TOL:
-        raise ValueError(f"{label!r} evaluates to {value!r} at {point}, expected 1")
-
-
 @dataclass(frozen=True)
-class IsotropicFunction:
+class _NormalizedFunction:
+    """A labelled callable whose value at ``_POINT`` must be one number, of a dtype
+    that casts safely to ``_CAST``, within ``NORMALIZATION_TOL`` of 1 (so not NaN)."""
+
+    label: str
+    eval: Callable
+
+    def __post_init__(self):
+        value = self.eval(np.array(self._CAST(self._POINT)))
+        array = np.asarray(value)
+        if array.ndim == 0 and np.can_cast(array.dtype, self._CAST):
+            value = self._CAST(array)
+            if abs(value - 1.0) <= NORMALIZATION_TOL:
+                return
+        raise ValueError(f"{self.label!r} evaluates to {value!r} at {self._POINT}, expected 1")
+
+    def __call__(self, x):
+        return self.eval(x)
+
+
+class IsotropicFunction(_NormalizedFunction):
     """Real-valued function on [0, pi] normalized to 1 at 0.
 
     ``eval`` must accept numpy arrays of angles. Construction verifies the
     normalization, which every positive definite candidate must satisfy.
     """
 
-    label: str
-    eval: Callable
-
-    def __post_init__(self):
-        _check_normalized(self.label, float(np.asarray(self.eval(np.array(0.0)))), "0")
-
-    def __call__(self, theta):
-        return self.eval(theta)
+    _POINT, _CAST = "0", float
 
 
-@dataclass(frozen=True)
-class DiskFunction:
+class DiskFunction(_NormalizedFunction):
     """Complex-valued function on the closed unit disk normalized to 1 at 1."""
 
-    label: str
-    eval: Callable
-
-    def __post_init__(self):
-        _check_normalized(self.label, complex(np.asarray(self.eval(np.array(1.0 + 0.0j)))), "1")
-
-    def __call__(self, z):
-        return self.eval(z)
+    _POINT, _CAST = "1", complex
 
 
 def constant_isotropic() -> IsotropicFunction:

@@ -219,6 +219,21 @@ def _asymptotic_seeds(n: int, a: float, b: float) -> np.ndarray:
     return np.cos(phi + ((0.25 - a * a) / tan_half - (0.25 - b * b) * tan_half) / (2.0 * rho) ** 2)
 
 
+def _sweep(x, diag, off):
+    """p_K, p_K', sum_{k<K} p_k^2 and sum_{k<K} p_k p_k' at ``x``, K = len(diag)."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    total, dtotal = np.zeros_like(x), np.zeros_like(x)
+    for k in range(len(diag)):
+        total += p * p
+        dtotal += p * dp
+        shifted, b_prev = x - diag[k], off[k - 1] if k else 0.0
+        p_next = (shifted * p - b_prev * p_prev) / off[k]
+        dp_next = (p + shifted * dp - b_prev * dp_prev) / off[k]
+        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+    return p, dp, total, dtotal
+
+
 def _newton_nodes(x, diag, off):
     """Nodes from the seeds ``x`` by whole-array Newton sweeps on p_n, or None.
 
@@ -232,13 +247,7 @@ def _newton_nodes(x, diag, off):
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_SWEEPS):
             y = x[active]
-            p_prev, p = np.zeros_like(y), np.ones_like(y)
-            dp_prev, dp = np.zeros_like(y), np.zeros_like(y)
-            for k in range(len(diag)):
-                shifted, b_prev = y - diag[k], off[k - 1] if k else 0.0
-                p_next = (shifted * p - b_prev * p_prev) / off[k]
-                dp_next = (p + shifted * dp - b_prev * dp_prev) / off[k]
-                p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+            p, dp, _, _ = _sweep(y, diag, off)
             step = p / dp
             x[active] = y - step
             # a NaN step compares False, so its node stays active
@@ -257,17 +266,8 @@ def _newton_christoffel(x, diag, off, label):
     Newton step on p_K polishes the nodes, and S follows them to first
     order.
     """
-    p_prev, p = np.zeros_like(x), np.ones_like(x)
-    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
-    total, dtotal = np.zeros_like(x), np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(diag)):
-            total += p * p
-            dtotal += p * dp
-            shifted, b_prev = x - diag[k], off[k - 1] if k else 0.0
-            p_next = (shifted * p - b_prev * p_prev) / off[k]
-            dp_next = (p + shifted * dp - b_prev * dp_prev) / off[k]
-            p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+        p, dp, total, dtotal = _sweep(x, diag, off)
         step = p / dp
     # a weight is 1 / total, so an overflowing sum means a weight below the
     # normal double range (large alpha or beta puts nodes deep in the tails)

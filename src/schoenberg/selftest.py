@@ -90,7 +90,7 @@ def _entry_error(a, b):
     return max((abs(a.get(*k) - b.get(*k)) for k in keys), default=0.0)
 
 
-def _lift(seq):
+def _with_headroom(seq):
     return ComplexSchoenbergSequence(seq.q, seq.entries, seq.max_degree + 2)
 
 
@@ -238,7 +238,7 @@ def _complex_roundtrip(rng, tol):
         for _ in range(200):
             degree = int(rng.integers(2, 11))  # max_degree degree + 2 <= 12
             seq = random_complex_sequence(q, degree, int(rng.integers(2**31)))
-            back = walk_down_complex(walk_up_complex(_lift(seq)))
+            back = walk_down_complex(walk_up_complex(_with_headroom(seq)))
             worst = max(worst, _entry_error(seq, back))
     return _within("max err", worst, tol)
 
@@ -248,7 +248,7 @@ def _complex_walk_quadrature_oracle(rng, tol):
     for q in (2, 3):
         for _ in range(5):
             seq = random_complex_sequence(q, 6, int(rng.integers(2**31)))
-            walked = walk_up_complex(_lift(seq))  # headroom keeps degree 6
+            walked = walk_up_complex(_with_headroom(seq))  # headroom keeps degree 6
             via = _off_class(compute_complex_coeffs, disk_from_sequence(seq), q + 1, 6)
             worst = max(worst, _entry_error(walked, via))
     return _within("max err", worst, tol)
@@ -267,7 +267,7 @@ def _mass_conservation(rng, tol):
         for _ in range(50):
             degree = int(rng.integers(2, 11))
             seq = random_complex_sequence(q, degree, int(rng.integers(2**31)))
-            up = walk_up_complex(_lift(seq))
+            up = walk_up_complex(_with_headroom(seq))
             for walked in (up, walk_down_complex(up)):
                 worst = max(worst, abs(walked.total_mass - seq.total_mass))
     return _within("max drift", worst, tol)

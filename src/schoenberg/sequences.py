@@ -134,8 +134,20 @@ def _check_pair(key) -> tuple:
     return key
 
 
+class _Sequence:
+    """The writers both sequence types share; each type's ``SPACE`` names its wire format."""
+
+    def dumps(self) -> str:
+        return json.dumps(self.to_dict())
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh)
+            fh.write("\n")
+
+
 @dataclass(frozen=True, eq=False)
-class RealSchoenbergSequence:
+class RealSchoenbergSequence(_Sequence):
     """Truncated coefficient sequence of an expansion on the real sphere S^d.
 
     ``coeffs[n]`` multiplies the degree-n normalized basis polynomial for
@@ -143,6 +155,8 @@ class RealSchoenbergSequence:
     diagnostic attached by the inverse dimension walk when the input looked
     truncated mid-decay (it is not serialized).
     """
+
+    SPACE = "real"
 
     d: int
     coeffs: np.ndarray
@@ -170,24 +184,16 @@ class RealSchoenbergSequence:
 
     def to_dict(self) -> dict:
         return {
-            "space": "real",
+            "space": self.SPACE,
             "d": int(self.d),
             "truncation": int(self.truncation),
             "coeffs": [float(c) for c in self.coeffs],
             "valid_mass": bool(self.valid_mass),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
-
     @classmethod
     def from_dict(cls, data: dict) -> "RealSchoenbergSequence":
-        _expect_space(data, "real")
+        _expect_space(data, cls.SPACE)
         d = _expect(data, "d", int)
         if d < 1:
             raise SequenceFormatError("d", "dimension must be >= 1")
@@ -204,7 +210,7 @@ class RealSchoenbergSequence:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexSchoenbergSequence:
+class ComplexSchoenbergSequence(_Sequence):
     """Sparse double-indexed coefficient sequence on the complex sphere.
 
     ``entries`` maps bi-degree ``(m, n)`` to a real coefficient; indices are
@@ -216,6 +222,8 @@ class ComplexSchoenbergSequence:
     then k (``_Entries``); its ``entries`` attribute is a read-only mapping
     over them, and ``valid_mass`` is computed from them.
     """
+
+    SPACE = "complex"
 
     q: int
     entries: Mapping
@@ -289,28 +297,22 @@ class ComplexSchoenbergSequence:
         order = np.lexsort((n, m))
         rows = zip(m[order].tolist(), n[order].tolist(), values[order].tolist())
         return {
-            "space": "complex",
+            "space": self.SPACE,
             "q": int(self.q),
             "max_degree": int(self.max_degree),
             "entries": [list(row) for row in rows],
             "valid_mass": bool(self.valid_mass),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
-
     @classmethod
     def from_dict(cls, data: dict) -> "ComplexSchoenbergSequence":
-        _expect_space(data, "complex")
+        _expect_space(data, cls.SPACE)
         q = _expect(data, "q", int)
         if q < 2:
             raise SequenceFormatError("q", "q must be >= 2")
         max_degree = _expect(data, "max_degree", int)
+        if max_degree < 0:
+            raise SequenceFormatError("max_degree", f"max_degree must be >= 0, got {max_degree}")
         m, n, values = [], [], []
         for i, triple in enumerate(_expect(data, "entries", list)):
             if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
@@ -381,10 +383,9 @@ def loads_sequence(text: str):
     if not isinstance(data, dict):
         raise SequenceFormatError("<document>", "top level must be an object")
     space = data.get("space")
-    if space == "real":
-        return RealSchoenbergSequence.from_dict(data)
-    if space == "complex":
-        return ComplexSchoenbergSequence.from_dict(data)
+    for kind in (RealSchoenbergSequence, ComplexSchoenbergSequence):
+        if space == kind.SPACE:
+            return kind.from_dict(data)
     raise SequenceFormatError("space", f"expected 'real' or 'complex', got {space!r}")
 
 

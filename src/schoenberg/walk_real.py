@@ -41,19 +41,24 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import walk_complex
 from .quadrature import RULE_CACHE_SIZE, _integer
 from .sequences import RealSchoenbergSequence, _tail_bound
 
 __all__ = ["walk_up", "walk_down", "cross_project"]
 
+#: weights per row block of ``cross_project``'s table (1 MB of doubles)
+WEIGHT_BLOCK = 2**17
+
 
 @functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _bands(d: int, size: int):
-    """``lead_n`` and ``drop_n`` of the walk d -> d + 2 for n < size; cached, read-only."""
+    """``lead_n`` and ``drop_n`` of the walk d -> d + 2 for n < size; cached, read-only. They
+    are the complex walk's at bi-degree ((n - 1)/2, n/2) and q = d/2 + 1, bit for bit."""
     n = np.arange(size, dtype=float)
-    lead = np.ones(size)
-    lead[1:] = (n[1:] + d - 1.0) * (n[1:] + d) / (d * (2.0 * n[1:] + d - 1.0))
-    drop = (n + 1.0) * (n + 2.0) / (d * (2.0 * n + d + 3.0))
+    with np.errstate(invalid="ignore"):  # lead_0 is 0/0 at d = 1
+        lead, drop = walk_complex._bands((n - 1.0) / 2.0, n / 2.0, d / 2.0 + 1.0)
+    lead[:1] = 1.0
     lead.flags.writeable = drop.flags.writeable = False
     return lead, drop
 
@@ -121,12 +126,22 @@ def cross_project(seq: RealSchoenbergSequence, d_prime: int) -> RealSchoenbergSe
     n = np.arange(size + 2.0 * half - 2.0)
     a = (lam + n) / (mu + n + 1.0)
     c = (n + 1.0) * (n + 2.0) / ((2.0 * lam + n) * (2.0 * lam + n + 1.0))
-    weights = np.ones((size, half))
-    weights[2:, 0] = np.cumprod((lam + i) * (2.0 * mu + i) / ((2.0 * lam + i) * (mu + i)))
-    np.multiply(sliding_window_view(a, half)[:size, :-1], (lam - mu + k) / (k + 1.0),
-                out=weights[:, 1:])
-    weights[:, 1:] *= sliding_window_view(c, 2 * half - 1)[:, :-1:2]
-    np.cumprod(weights, axis=1, out=weights)
+    first = np.ones(size)
+    first[2:] = np.cumprod((lam + i) * (2.0 * mu + i) / ((2.0 * lam + i) * (mu + i)))
+    a, b = sliding_window_view(a, half)[:size, :-1], (lam - mu + k) / (k + 1.0)
+    c = sliding_window_view(c, 2 * half - 1)[:, :-1:2]
     padded = np.concatenate([seq.coeffs, np.zeros(2 * half - 2)])
     window = sliding_window_view(padded, 2 * half - 1)[:, ::2]
-    return RealSchoenbergSequence(d_prime, np.einsum("jk,jk->j", weights, window))
+    # the size x half weight table is built and contracted a block of rows at
+    # a time, so memory stays near WEIGHT_BLOCK weights whatever the truncation
+    out = np.empty(size)
+    rows = max(1, WEIGHT_BLOCK // half)
+    for start in range(0, size, rows):
+        block = slice(start, start + rows)
+        weights = np.empty((min(rows, size - start), half))
+        weights[:, 0] = first[block]
+        np.multiply(a[block], b, out=weights[:, 1:])
+        weights[:, 1:] *= c[block]
+        np.cumprod(weights, axis=1, out=weights)
+        out[block] = np.einsum("jk,jk->j", weights, window[block])
+    return RealSchoenbergSequence(d_prime, out)

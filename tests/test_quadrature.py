@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,19 +306,30 @@ def test_real_arguments_outside_their_interval_are_refused(name, interval, outsi
         call(value)
 
 
+NOT_ONE_NUMBER = {"array": np.ones(3), "size-1-array": np.ones(1), "none": None,
+                  "string": "1", "object": Fraction(1)}
+
+
 @pytest.mark.parametrize("function, value, point", [
     (IsotropicFunction, math.nan, 0),
     (IsotropicFunction, math.inf, 0),
     (DiskFunction, complex(math.nan, 0.0), 1),
     (DiskFunction, complex(math.nan, math.nan), 1),
-], ids=["isotropic-nan", "isotropic-inf", "disk-nan", "disk-nan-imag"])
+    (IsotropicFunction, 1 + 0j, 0),
+    *((IsotropicFunction, value, 0) for value in NOT_ONE_NUMBER.values()),
+    *((DiskFunction, value, 1) for value in NOT_ONE_NUMBER.values()),
+], ids=["isotropic-nan", "isotropic-inf", "disk-nan", "disk-nan-imag", "isotropic-complex",
+        *(f"isotropic-{name}" for name in NOT_ONE_NUMBER),
+        *(f"disk-{name}" for name in NOT_ONE_NUMBER)])
 def test_normalization_must_hold_at_a_number(function, value, point):
     # abs(NaN - 1) > tol is false, so a NaN at the normalization point once
-    # built a function that failed only at the transform's first sample
+    # built a function that failed only at the transform's first sample; and
+    # "one number" is judged by ndim and dtype, not by float() or complex(),
+    # which take a size-1 array on some numpy versions and not on others
     with pytest.raises(
         ValueError, match=f"^'f' evaluates to {re.escape(repr(value))} at {point}, expected 1$"
     ):
-        function("f", lambda x: np.full_like(x, value))
+        function("f", lambda x: value)
     function("f", np.ones_like)
 
 

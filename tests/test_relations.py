@@ -9,7 +9,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from schoenberg import cross_project, random_real_sequence
-from schoenberg import walk_complex, walk_real
+from schoenberg import walk_real
 
 
 @seed(707)
@@ -36,13 +36,12 @@ def test_cross_project_composes(dims, n, key):
 
 @pytest.mark.parametrize("d", [*range(1, 61), 101, 201, 999])
 def test_real_walk_bands_are_complex_walk_bands(d):
-    # the walk d -> d + 2 at degree n is the complex walk q -> q + 1 at
-    # bi-degree ((n - 1)/2, n/2) with q = d/2 + 1, bit for bit; lead_0 = 1 is a
-    # convention of the real side (at d = 1 its formula is 0/0), so lead is
-    # compared from n = 1
+    # the walk d -> d + 2 reads the complex walk's bands at bi-degree
+    # ((n - 1)/2, n/2) with q = d/2 + 1, each of whose factors is exactly half
+    # the real one, so they are the real closed form bit for bit, with
+    # lead_0 = 1 (at d = 1 the closed form is 0/0 there)
     n = np.arange(20_001, dtype=float)
     lead, drop = walk_real._bands(d, len(n))
-    with np.errstate(invalid="ignore"):  # the complex lead at n = 0, d = 1 is 0/0 too
-        clead, cdrop = walk_complex._bands((n - 1.0) / 2.0, n / 2.0, d / 2.0 + 1.0)
-    assert np.array_equal(clead[1:], lead[1:])
-    assert np.array_equal(cdrop, drop)
+    assert lead[0] == 1.0
+    assert np.array_equal(lead[1:], (n[1:] + d - 1.0) * (n[1:] + d) / (d * (2.0 * n[1:] + d - 1.0)))
+    assert np.array_equal(drop, (n + 1.0) * (n + 2.0) / (d * (2.0 * n + d + 3.0)))

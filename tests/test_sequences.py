@@ -253,6 +253,7 @@ def test_malformed_real_json_names_field(mutate, field):
         (lambda d: d.update(entries=[[0, 0, 0.5], [0, 0, 0.5]]), "entries"),
         (lambda d: d.update(q=1), "q"),
         (lambda d: d.pop("max_degree"), "max_degree"),
+        pytest.param(lambda d: d.update(max_degree=-1), "max_degree", id="negative-max_degree"),
     ],
 )
 def test_malformed_complex_json_names_field(mutate, field):

@@ -35,7 +35,7 @@ def entry_error(a, b) -> float:
     return max((abs(a.get(*k) - b.get(*k)) for k in keys), default=0.0)
 
 
-def lift(seq, extra=2):
+def with_headroom(seq, extra=2):
     """Same entries with headroom in max_degree, so a forward walk loses nothing."""
     return ComplexSchoenbergSequence(seq.q, seq.entries, seq.max_degree + extra)
 
@@ -79,7 +79,7 @@ def test_roundtrip_identity_random_sparse():
         for _ in range(25):
             degree = int(rng.integers(2, 11))
             seq = random_complex_sequence(q, degree, int(rng.integers(2**31)))
-            back = walk_down_complex(walk_up_complex(lift(seq)))
+            back = walk_down_complex(walk_up_complex(with_headroom(seq)))
             assert entry_error(seq, back) <= 1e-10
 
 
@@ -90,7 +90,7 @@ def test_walk_up_against_quadrature_oracle():
     rng = np.random.default_rng(13)
     for q in (2, 3):
         seq = random_complex_sequence(q, 6, int(rng.integers(2**31)))
-        walked = walk_up_complex(lift(seq))
+        walked = walk_up_complex(with_headroom(seq))
         via = compute_complex_coeffs(disk_from_sequence(seq), q + 1, 6)
         assert entry_error(walked, via) <= 1e-10
 
@@ -107,7 +107,7 @@ def test_mass_conservation_both_directions():
     rng = np.random.default_rng(14)
     for q in (2, 3, 5):
         seq = random_complex_sequence(q, 9, int(rng.integers(2**31)))
-        up = walk_up_complex(lift(seq))
+        up = walk_up_complex(with_headroom(seq))
         assert abs(up.total_mass - seq.total_mass) <= 1e-10
         down = walk_down_complex(up)
         assert abs(down.total_mass - seq.total_mass) <= 1e-10
@@ -118,9 +118,11 @@ def test_walks_never_leave_support_diagonals():
     for _ in range(10):
         q = int(rng.integers(2, 6))
         seq = random_complex_sequence(q, 9, int(rng.integers(2**31)))
-        up = walk_up_complex(lift(seq))
+        up = walk_up_complex(with_headroom(seq))
         assert up.diagonals(-np.inf) <= seq.diagonals(-np.inf)
-        down = walk_down_complex(lift(seq, 0) if q >= 3 else walk_up_complex(lift(seq)))
+        down = walk_down_complex(
+            with_headroom(seq, 0) if q >= 3 else walk_up_complex(with_headroom(seq))
+        )
         assert down.diagonals(-np.inf) <= seq.diagonals(-np.inf)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -404,3 +405,16 @@ def test_cross_project_poisson_to_circle():
     # to 1.2e-14 (degree 42), of which the projection keeps 1.2e-15
     sampled = compute_real_coeffs(poisson_isotropic(0.5), 3, 60)
     assert np.max(np.abs(cross_project(sampled, 1).coeffs - exact)) <= 2e-15
+
+
+def test_cross_project_memory_stays_bounded():
+    # the weight table is built and contracted a block of rows at a time; whole,
+    # it would hold 4001 x 2001 doubles (64 MB) here
+    seq = random_real_sequence(8, 4000, 0)
+    tracemalloc.start()
+    try:
+        cross_project(seq, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
